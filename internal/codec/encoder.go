@@ -16,10 +16,16 @@ import (
 // Encoder compresses a video sequence frame by frame under the control
 // of a ModePlanner. It is not safe for concurrent use.
 type Encoder struct {
-	cfg      Config
-	ref      *video.Frame // reconstruction of the previous frame
-	rec      *video.Frame // reconstruction of the frame being encoded
-	pred     *video.Frame // motion-compensated prediction scratch
+	cfg Config
+	ref *video.Frame // reconstruction of the previous frame
+	// rec and pred are per-frame scratch (the reconstruction being
+	// built, the motion-compensated prediction). Every macroblock of
+	// rec is rewritten each frame, so neither carries state across
+	// frames: both are allocated on the first EncodeFrame, and an
+	// encoder that never encodes — a frozen Clone kept as a restore
+	// point — holds one frame, not three.
+	rec      *video.Frame
+	pred     *video.Frame
 	frameNum int
 	w        bitstream.Writer
 	events   []entropy.Event
@@ -56,18 +62,14 @@ func NewEncoder(cfg Config) (*Encoder, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Encoder{
-		cfg:  cfg,
-		ref:  video.NewFrame(cfg.Width, cfg.Height),
-		rec:  video.NewFrame(cfg.Width, cfg.Height),
-		pred: video.NewFrame(cfg.Width, cfg.Height),
-	}, nil
+	return &Encoder{cfg: cfg, ref: video.NewFrame(cfg.Width, cfg.Height)}, nil
 }
 
 // Clone returns an independent encoder that continues the stream from
 // exactly this encoder's state: same configuration, same frame number,
 // and a deep copy of the reference reconstruction (the only state that
-// crosses frame boundaries — per-frame scratch is rebuilt lazily).
+// crosses frame boundaries — per-frame scratch is allocated on the
+// clone's first EncodeFrame, so the clone holds one frame until then).
 // Encoding the same inputs on the clone and the original produces
 // byte-identical bitstreams.
 //
@@ -80,13 +82,11 @@ func (e *Encoder) Clone(planner ModePlanner, counters *energy.Counters) (*Encode
 	cfg := e.cfg
 	cfg.Planner = planner
 	cfg.Counters = counters
-	ne, err := NewEncoder(cfg)
+	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	ne.ref = e.ref.Clone()
-	ne.frameNum = e.frameNum
-	return ne, nil
+	return &Encoder{cfg: cfg, ref: e.ref.Clone(), frameNum: e.frameNum}, nil
 }
 
 // FrameNum returns the number of the next frame to be encoded.
@@ -170,6 +170,10 @@ func (e *Encoder) EncodeFrame(cur *video.Frame) (*EncodedFrame, error) {
 			cur.Width, cur.Height, e.cfg.Width, e.cfg.Height)
 	}
 
+	if e.rec == nil {
+		e.rec = video.NewFrame(e.cfg.Width, e.cfg.Height)
+		e.pred = video.NewFrame(e.cfg.Width, e.cfg.Height)
+	}
 	plan := e.planFrame(cur)
 	e.refinePlan(cur, plan)
 	frame, err := e.codeFrame(cur, plan)

@@ -45,7 +45,9 @@ func TestSnapshotLockScope(t *testing.T) {
 	// The collected table stays readable even after the entries are
 	// unregistered: the copy owns its view, mutation of the registry
 	// map cannot invalidate an in-flight scrape.
-	r.RemovePrefix("s")
+	for i := 0; i < 100; i++ {
+		r.Remove(fmt.Sprintf("s%d.frames", i), fmt.Sprintf("s%d.lat", i))
+	}
 	late := snapshotValues(table)
 	if late["s7.frames"] != 7 {
 		t.Fatalf("post-removal read of collected table: s7.frames = %v, want 7", late["s7.frames"])
@@ -74,7 +76,7 @@ func TestSnapshotConcurrentChurn(t *testing.T) {
 			r.Counter(prefix + "frames").Add(1)
 			r.Histogram(prefix + "lat").Observe(time.Millisecond)
 			if i%5 == 4 {
-				r.RemovePrefix(prefix)
+				r.Remove(prefix+"frames", prefix+"lat")
 			}
 		}
 	}()

@@ -6,8 +6,8 @@
 // All metric mutations are lock-free atomics, safe from any goroutine;
 // the registry lock is taken only on metric registration, snapshot and
 // removal — never on the hot path. The serving layer registers
-// per-session metrics under a "s<id>." prefix and removes them when
-// the session ends, so a long-lived server's registry stays bounded by
+// per-session metrics under a "s<id>." prefix and removes them by name
+// when the session ends, so a long-lived server's registry stays bounded by
 // its concurrent-session cap, not its lifetime session count.
 package obs
 
@@ -179,15 +179,18 @@ func register[T any](r *Registry, name string, make func() T) T {
 	return m
 }
 
-// RemovePrefix unregisters every metric whose name starts with prefix
-// and returns how many were removed. The serving layer calls this as
-// sessions end so the registry does not grow without bound.
-func (r *Registry) RemovePrefix(prefix string) int {
+// Remove unregisters the named metrics and returns how many were
+// registered. Each name is one map delete under the lock, so tearing
+// down an owner's metrics costs O(its own metrics), independent of how
+// many other entries are live. The serving layer calls this with a
+// session's exact metric names as the session ends, so the registry
+// stays bounded by the concurrent-session cap.
+func (r *Registry) Remove(names ...string) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n := 0
-	for name := range r.metrics {
-		if len(name) >= len(prefix) && name[:len(prefix)] == prefix {
+	for _, name := range names {
+		if _, ok := r.metrics[name]; ok {
 			delete(r.metrics, name)
 			n++
 		}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -106,21 +107,71 @@ func TestHistogramMerge(t *testing.T) {
 	}
 }
 
-func TestRemovePrefix(t *testing.T) {
+// TestRemove pins exact-name removal: the named entries go, every
+// other entry — including ones sharing their prefix — keeps its
+// identity and value, and unknown names are ignored.
+func TestRemove(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("s1.frames")
-	r.Gauge("s1.alpha")
-	r.Counter("s2.frames")
-	r.Counter("server.sessions")
-	if n := r.RemovePrefix("s1."); n != 2 {
+	r.Counter("s1.frames").Add(1)
+	r.Gauge("s1.alpha").Set(0.5)
+	r.Counter("s1.frames_extra").Add(2)
+	r.Counter("s10.frames").Add(3)
+	r.Histogram("s2.lat").Observe(time.Millisecond)
+	keep := r.Counter("server.sessions")
+	keep.Add(4)
+	before := r.Snapshot()
+
+	if n := r.Remove("s1.frames", "s1.alpha", "s1.missing"); n != 2 {
 		t.Fatalf("removed %d metrics, want 2", n)
 	}
-	snap := r.Snapshot()
-	if _, ok := snap["s1.frames"]; ok {
-		t.Fatal("s1.frames survived RemovePrefix")
+	after := r.Snapshot()
+	for _, gone := range []string{"s1.frames", "s1.alpha"} {
+		if _, ok := after[gone]; ok {
+			t.Errorf("%s survived Remove", gone)
+		}
 	}
-	if _, ok := snap["s2.frames"]; !ok {
-		t.Fatal("s2.frames removed by mistake")
+	if len(after) != len(before)-2 {
+		t.Fatalf("snapshot has %d entries after removing 2 of %d", len(after), len(before))
+	}
+	for name, v := range after {
+		if before[name] != v {
+			t.Errorf("%s = %v after Remove, want untouched %v", name, v, before[name])
+		}
+	}
+	// Survivors keep their identity: re-registering returns the same
+	// live object, not a fresh zero metric.
+	if r.Counter("server.sessions") != keep || keep.Value() != 4 {
+		t.Error("server.sessions was replaced by Remove")
+	}
+}
+
+// BenchmarkRemoveSession times one session's teardown — eleven exact
+// names — against registries holding 1k and 100k other live entries.
+// Exact-name removal is O(own metrics), so ns/op must stay flat across
+// the two sizes (the prefix scan it replaced grew linearly).
+func BenchmarkRemoveSession(b *testing.B) {
+	suffixes := []string{"frames_encoded", "packets_sent", "bytes_sent", "queue_dropped_frames",
+		"reports", "intra_mbs", "alpha_hat", "intra_th", "queue_depth", "energy_joules", "spare"}
+	for _, live := range []int{1000, 100000} {
+		b.Run(fmt.Sprintf("live=%d", live), func(b *testing.B) {
+			r := NewRegistry()
+			for i := 0; i < live; i++ {
+				r.Counter(fmt.Sprintf("bg%d.frames", i))
+			}
+			names := make([]string, len(suffixes))
+			for i, s := range suffixes {
+				names[i] = "s0." + s
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for _, n := range names {
+					r.Counter(n)
+				}
+				b.StartTimer()
+				r.Remove(names...)
+			}
+		})
 	}
 }
 

@@ -161,6 +161,7 @@ func blipStream(server string, frames, trigger int, delay time.Duration) (int, e
 	}
 	defer conn.Close()
 
+	h := hello{Frames: frames, Regime: synth.RegimeForeman, Nonce: newNonce()}
 	var id uint32
 	buf := make([]byte, 2048)
 handshake:
@@ -168,7 +169,7 @@ handshake:
 		if attempt == 15 {
 			return 0, errors.New("blip client: no accept after 15 hellos")
 		}
-		if _, err := conn.Write(appendHello(nil, hello{Frames: frames, Regime: synth.RegimeForeman})); err != nil {
+		if _, err := conn.Write(appendHello(nil, h)); err != nil {
 			return 0, err
 		}
 		conn.SetReadDeadline(time.Now().Add(2 * time.Second))

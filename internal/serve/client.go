@@ -150,6 +150,7 @@ func handshake(ctx context.Context, conn *net.UDPConn, cfg ClientConfig) (uint32
 		ReportEvery: cfg.ReportEvery,
 		FECGroup:    cfg.FECGroup,
 		Interleave:  cfg.Interleave,
+		Nonce:       newNonce(),
 	}
 	buf := make([]byte, 2048)
 	for attempt := 0; attempt < 3; attempt++ {

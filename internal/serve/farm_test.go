@@ -205,13 +205,21 @@ func TestSoakThousandSessions(t *testing.T) {
 // shedding contract: deferrals are counted, the overloaded flag trips,
 // and new hellos are rejected with an overload reason while admitted
 // sessions keep streaming.
+//
+// The cohort window makes the ordering deterministic: no lineage is
+// dispatched — so nothing can defer and trip the overload flag — until
+// the window closes, by which time all eight hellos are admitted.
+// Without it the first unpaced lineages saturate the one-deep farm
+// while the rest of the burst is still arriving, and admission sheds
+// part of the very fleet the test means to admit.
 func TestLoadShedOverload(t *testing.T) {
 	before := runtime.NumGoroutine()
 	srv, err := New(Config{
-		Addr:        "127.0.0.1:0",
-		MaxSessions: 32,
-		FarmWorkers: 1,
-		FarmBacklog: 1,
+		Addr:         "127.0.0.1:0",
+		MaxSessions:  32,
+		FarmWorkers:  1,
+		FarmBacklog:  1,
+		CohortWindow: time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -246,10 +254,22 @@ func TestLoadShedOverload(t *testing.T) {
 		t.Fatalf("only %d/%d streams admitted", got, streams)
 	}
 
+	// Once the window closes the eight lineages saturate the farm and
+	// the overload flag trips. Probe only then: a probe admitted while
+	// the window is still open joins a lineage that shedding may defer
+	// for longer than the probe's idle timeout.
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.Registry().Snapshot()["server.overloaded"] != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the saturated farm never flagged overload")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
 	// The farm is now saturated; a new hello must be shed with the
 	// overload reason (not capacity — the session table has room).
 	var rej *RejectedError
-	deadline := time.Now().Add(15 * time.Second)
+	deadline = time.Now().Add(15 * time.Second)
 	for {
 		_, err := RunClient(ctx, ClientConfig{Server: srv.Addr().String(), Frames: 5})
 		if errors.As(err, &rej) {
@@ -303,6 +323,12 @@ func TestLoadShedOverload(t *testing.T) {
 // frame-0 values. Safe to call from helper goroutines (errors are
 // returned, not asserted).
 func rawStream(server string, frames int) (map[int][]network.Packet, error) {
+	return rawStreamHello(server, hello{Frames: frames, Regime: synth.RegimeForeman})
+}
+
+// rawStreamHello is rawStream for an arbitrary hello (cohort keys with
+// FEC or interleave); ReportEvery is forced to 0 and a nonce drawn.
+func rawStreamHello(server string, h hello) (map[int][]network.Packet, error) {
 	raddr, err := net.ResolveUDPAddr("udp", server)
 	if err != nil {
 		return nil, err
@@ -313,7 +339,8 @@ func rawStream(server string, frames int) (map[int][]network.Packet, error) {
 	}
 	defer conn.Close()
 
-	h := hello{Frames: frames, Regime: synth.RegimeForeman, ReportEvery: 0}
+	h.ReportEvery = 0
+	h.Nonce = newNonce()
 	var id uint32
 	buf := make([]byte, 65536)
 handshake:

@@ -40,7 +40,9 @@ import (
 // On a machine where encode dominates the frame budget this is what
 // makes thousands-of-session serving possible at all: N no-loss
 // sessions of one cohort cost one encode per frame plus N packet
-// fanouts, not N encodes.
+// fanouts, not N encodes. The trunk log (trunk.go) carries the same
+// argument across time: lineages that start later replay the cohort's
+// logged (0, 0) frames instead of encoding them again.
 
 // cohortKey is the encode-affecting part of a client's hello. Sessions
 // can share a lineage only when their keys are equal (server-side
@@ -57,10 +59,10 @@ func keyOf(h hello) cohortKey {
 	return cohortKey{regime: h.Regime, qp: h.QP, fec: h.FECGroup, interleave: h.Interleave}
 }
 
-// name renders the key as a metric-name segment (the per-cohort
-// shared-fraction gauges live under "server.cohort.<name>.").
-func (k cohortKey) name() string {
-	return fmt.Sprintf("%s_q%d_f%d_i%d", k.regime, k.qp, k.fec, k.interleave)
+// gaugeName is the cohort's shared-fraction gauge:
+// "server.cohort.<regime>_q<qp>_f<fec>_i<interleave>.shared_fraction".
+func (k cohortKey) gaugeName() string {
+	return fmt.Sprintf("server.cohort.%s_q%d_f%d_i%d.shared_fraction", k.regime, k.qp, k.fec, k.interleave)
 }
 
 // lineageKnobs is one frame's applied control state. Partitioning
@@ -85,6 +87,11 @@ func (k lineageKnobs) bits() [2]uint64 {
 // shared encoder. All fields are scheduler-owned; the encode worker
 // borrows enc/planner/src/pktz/fec/counters only while inflight is
 // true, during which the scheduler keeps its hands off.
+//
+// A trunk lineage (trunk.go) may hold no encode state at all (enc ==
+// nil): it is a follower, served from its cohort's trunk log, and its
+// state is by construction the trunk state after frame-1. Only trunk
+// lineages are ever without an encoder.
 type lineage struct {
 	id      uint32
 	key     cohortKey
@@ -102,7 +109,15 @@ type lineage struct {
 	due      time.Time // pacing: earliest next dispatch
 	formed   time.Time // first member's admission (cohort window gate)
 	started  bool      // frame 0 dispatched; no more joins
-	inflight bool      // an encode job is out for this lineage
+	inflight bool      // a job is out for this lineage (or it is borrowed as a dependent)
+
+	// trunk: every dispatch so far applied knobs exactly (0, 0).
+	trunk bool
+	// dependents are follower forks that get their encode state by
+	// cloning this lineage's, once its next job has materialised it. A
+	// follower that forks is materialised once, not once per group.
+	// Each dependent stays inflight (borrowed) until that job completes.
+	dependents []*lineage
 
 	src          synth.Source
 	planner      *core.PBPAIR
@@ -155,11 +170,13 @@ func (l *lineage) removeMember(m *session) {
 	}
 }
 
-// fork clones the lineage's encode state for a group of diverging
-// members. Called by the scheduler before the parent's next dispatch,
-// so parent and fork share every encoded frame up to — but not
-// including — the frame about to be encoded. The clone is cheap
-// relative to one encode: a reference frame copy plus planner σ state.
+// fork splits a group of diverging members off onto a new lineage.
+// Called by the scheduler before the parent's next dispatch, so parent
+// and fork share every frame up to — but not including — the frame
+// about to be encoded. When the parent holds encode state it is cloned
+// here (a reference frame copy plus planner σ state: cheap relative to
+// one encode); a follower parent has none, so the fork starts without
+// any too and the scheduler arranges its materialisation.
 func (l *lineage) fork(id uint32, members []*session) (*lineage, error) {
 	nl := &lineage{
 		id:      id,
@@ -170,20 +187,11 @@ func (l *lineage) fork(id uint32, members []*session) (*lineage, error) {
 		due:     l.due,
 		formed:  l.formed,
 		started: l.started,
+		trunk:   l.trunk,
 		src:     l.src, // sources are concurrency-safe and read-only
-		planner: l.planner.Clone(),
-		pktz:    l.pktz.Clone(),
 	}
-	nl.counters = l.counters
-	nl.prevCounters = l.prevCounters
-	var err error
-	if nl.enc, err = l.enc.Clone(nl.planner, &nl.counters); err != nil {
-		return nil, err
-	}
-	if l.fec != nil {
-		// FEC group state is flushed at every frame boundary, so a
-		// fresh encoder with the same group size is an exact clone.
-		if nl.fec, err = network.NewFECEncoder(l.key.fec); err != nil {
+	if l.enc != nil {
+		if err := l.cloneInto(nl); err != nil {
 			return nil, err
 		}
 	}
@@ -192,6 +200,88 @@ func (l *lineage) fork(id uint32, members []*session) (*lineage, error) {
 		l.removeMember(m)
 	}
 	return nl, nil
+}
+
+// cloneInto gives d an independent copy of l's encode state.
+func (l *lineage) cloneInto(d *lineage) error {
+	d.planner = l.planner.Clone()
+	d.pktz = l.pktz.Clone()
+	d.counters = l.counters
+	d.prevCounters = l.prevCounters
+	var err error
+	if d.enc, err = l.enc.Clone(d.planner, &d.counters); err != nil {
+		return err
+	}
+	// FEC group state is flushed at every frame boundary, so a fresh
+	// encoder with the same group size is an exact clone.
+	return d.newFEC()
+}
+
+func (l *lineage) newFEC() error {
+	l.fec = nil
+	if l.key.fec > 0 {
+		var err error
+		if l.fec, err = network.NewFECEncoder(l.key.fec); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// restore builds l's encode state from a trunk checkpoint (nil: the
+// stream start). The caller replays any frames between the checkpoint
+// and l.frame.
+func (l *lineage) restore(cfg *Config, ck *trunkCheckpoint) error {
+	if ck != nil {
+		l.planner = ck.planner.Clone()
+		l.pktz = ck.pktz.Clone()
+		l.counters = ck.counters
+		var err error
+		if l.enc, err = ck.enc.Clone(l.planner, &l.counters); err != nil {
+			return err
+		}
+	} else {
+		w, h := l.src.Dims()
+		var err error
+		if l.planner, err = newPlanner(w, h); err != nil {
+			return err
+		}
+		l.pktz = network.NewPacketizer(cfg.MTU)
+		l.counters = energy.Counters{}
+		if l.enc, err = newLineageEncoder(cfg, l.key, w, h, l.planner, &l.counters); err != nil {
+			return err
+		}
+	}
+	l.prevCounters = l.counters
+	return l.newFEC()
+}
+
+// encodeFrame encodes, packetises and protects one frame of l at knob,
+// returning the packets and the frame's intra macroblock count. Farm
+// workers call it on a borrowed (inflight) lineage.
+func (l *lineage) encodeFrame(frame int, knob lineageKnobs) ([]network.Packet, int, error) {
+	l.planner.SetPLR(knob.plr)
+	l.planner.SetIntraTh(knob.th)
+	ef, err := l.enc.EncodeFrame(l.src.Frame(frame))
+	if err != nil {
+		return nil, 0, err
+	}
+	var pkts []network.Packet
+	if l.key.interleave > 1 {
+		pkts = l.pktz.PacketizeInterleaved(ef, l.key.interleave)
+	} else {
+		pkts = l.pktz.Packetize(ef)
+	}
+	if l.fec != nil {
+		pkts = append(l.fec.Protect(pkts), l.fec.Flush()...)
+	}
+	return pkts, ef.Plan.IntraCount(), nil
+}
+
+// dropState releases l's encode state: l becomes a follower again.
+// Only legal for a trunk lineage, whose state the log reconstructs.
+func (l *lineage) dropState() {
+	l.enc, l.planner, l.pktz, l.fec = nil, nil, nil, nil
 }
 
 // newPlanner builds a fresh PBPAIR planner for a w×h stream (frame 0

@@ -19,29 +19,38 @@ import (
 // rawStream does, so a reporting receiver's stream can be compared
 // byte-for-byte against a silent one.
 func reportingStream(server string, frames int, regime synth.Regime, reports map[int]float64) (map[int][]network.Packet, error) {
+	_, got, err := reportingStreamHello(server, hello{Frames: frames, Regime: regime}, reports)
+	return got, err
+}
+
+// reportingStreamHello is reportingStream for an arbitrary hello; it
+// also returns the session id, to match the stream to its server-side
+// SessionSummary.
+func reportingStreamHello(server string, h hello, reports map[int]float64) (uint32, map[int][]network.Packet, error) {
 	raddr, err := net.ResolveUDPAddr("udp", server)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	conn, err := net.DialUDP("udp", nil, raddr)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	defer conn.Close()
 
 	// ReportEvery stays 0: the server consumes reports from any session,
 	// and not promising a cadence keeps the sparse script clear of the
 	// feedback-timeout reaper.
-	h := hello{Frames: frames, Regime: regime, ReportEvery: 0}
+	h.ReportEvery = 0
+	h.Nonce = newNonce()
 	var id uint32
 	buf := make([]byte, 65536)
 handshake:
 	for attempt := 0; ; attempt++ {
 		if attempt == 3 {
-			return nil, errors.New("reporting client: no accept after 3 hellos")
+			return 0, nil, errors.New("reporting client: no accept after 3 hellos")
 		}
 		if _, err := conn.Write(appendHello(nil, h)); err != nil {
-			return nil, err
+			return 0, nil, err
 		}
 		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 		for {
@@ -51,13 +60,13 @@ handshake:
 			}
 			if n > 0 && buf[0] == msgAccept {
 				if id, _, err = parseAccept(buf[:n]); err != nil {
-					return nil, err
+					return 0, nil, err
 				}
 				break handshake
 			}
 			if n > 0 && buf[0] == msgReject {
 				reason, _ := parseReject(buf[:n])
-				return nil, fmt.Errorf("reporting client rejected: %s", reason)
+				return 0, nil, fmt.Errorf("reporting client rejected: %s", reason)
 			}
 		}
 	}
@@ -80,7 +89,7 @@ handshake:
 	for {
 		n, err := conn.Read(buf)
 		if err != nil {
-			return nil, fmt.Errorf("reporting client read: %w", err)
+			return 0, nil, fmt.Errorf("reporting client read: %w", err)
 		}
 		if n == 0 {
 			continue
@@ -100,7 +109,7 @@ handshake:
 			}
 		case msgEnd:
 			if sid, _, ok := parseEnd(buf[:n]); ok && sid == id {
-				return got, nil
+				return id, got, nil
 			}
 		}
 	}

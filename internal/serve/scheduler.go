@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"pbpair/internal/adapt"
+	"pbpair/internal/energy"
 	"pbpair/internal/network"
 	"pbpair/internal/obs"
 	"pbpair/internal/parallel"
@@ -15,15 +16,26 @@ import (
 // encodeJob is one unit of farm work: encode frame `frame` of lineage
 // `lin` with the knobs its members agreed on, packetise and protect
 // it. The scheduler fills the top half, a farm worker the bottom.
+//
+// A job may also carry trunk-log work (trunk.go): restoring replays the
+// lineage up to `frame` from a checkpoint before encoding it, forks
+// receive a clone of the restored state, and a fromLog job is a trunk
+// hit the scheduler completes itself — no farm, no encode.
 type encodeJob struct {
 	lin   *lineage
 	frame int
 	knob  lineageKnobs
 	start time.Time // dispatch stamp; end-to-end frame latency baseline
 
+	restore *trunkCheckpoint // when lin holds no encode state: restore point (nil: the stream start)
+	forks   []*lineage       // dependents cloned from the restored state
+	fromLog bool             // trunk hit: served from the log
+
 	pkts        []network.Packet
 	intraMBs    int
 	frameEnergy float64
+	counters    energy.Counters // lineage's cumulative counters after the frame
+	replayed    int             // frames replayed while materialising
 	encodeTime  time.Duration
 	err         error
 }
@@ -76,6 +88,14 @@ type scheduler struct {
 	// from the registry when their cohort has no members left.
 	cohortGauges map[cohortKey]*obs.Gauge
 	cohortCounts map[cohortKey][2]int // scratch: members, lineages
+
+	// trunks holds each live cohort's trunk log (trunk.go); checkpoints
+	// counts live checkpoints across all of them (capped at
+	// MaxSessions). hits collects a dispatch pass's trunk hits, which
+	// complete once the pass has finished walking the lineage list.
+	trunks      map[cohortKey]*trunkLog
+	checkpoints int
+	hits        []*encodeJob
 }
 
 func newScheduler(srv *Server, qctl *adapt.QualityController) *scheduler {
@@ -99,6 +119,7 @@ func newScheduler(srv *Server, qctl *adapt.QualityController) *scheduler {
 		pendingEnd:   make(map[uint32]*session),
 		cohortGauges: make(map[cohortKey]*obs.Gauge),
 		cohortCounts: make(map[cohortKey][2]int),
+		trunks:       make(map[cohortKey]*trunkLog),
 	}
 }
 
@@ -218,10 +239,10 @@ func (sc *scheduler) place(s *session, now time.Time) {
 
 	key := keyOf(s.req)
 	for _, l := range sc.lineages {
-		// Joinable while still at frame 0: every frame-0 dispatch uses
-		// knobs (0, 0) — no feedback can have arrived yet — so a joiner
-		// is bit-identical to the founders by construction.
-		if l.key == key && l.frame == 0 {
+		// Joinable while still at frame 0 on the trunk: every frame-0
+		// dispatch uses knobs (0, 0) — no feedback can have arrived yet —
+		// so a joiner is bit-identical to the founders by construction.
+		if l.key == key && l.frame == 0 && l.trunk {
 			l.members = append(l.members, s)
 			s.lin = l
 			sc.orderDirty = true
@@ -229,11 +250,7 @@ func (sc *scheduler) place(s *session, now time.Time) {
 			return
 		}
 	}
-	l, err := sc.newLineage(key, s, now)
-	if err != nil {
-		sc.admitFailed(s, err)
-		return
-	}
+	l := sc.newLineage(key, s, now)
 	sc.lineages = append(sc.lineages, l)
 	sc.orderDirty = true
 	sc.srv.mLineages.Set(float64(len(sc.lineages)))
@@ -249,15 +266,11 @@ func (sc *scheduler) admitFailed(s *session, err error) {
 	sc.srv.finishSession(s)
 }
 
-// newLineage builds the encode state for a founding member.
-func (sc *scheduler) newLineage(key cohortKey, s *session, now time.Time) (*lineage, error) {
-	cfg := &sc.srv.cfg
-	src := sc.srv.sourceFor(key.regime)
-	w, h := src.Dims()
-	planner, err := newPlanner(w, h)
-	if err != nil {
-		return nil, err
-	}
+// newLineage founds a trunk lineage for s at frame 0. It holds no
+// encode state: its first job materialises it from the stream start,
+// unless its cohort's trunk log already covers the frames it needs.
+func (sc *scheduler) newLineage(key cohortKey, s *session, now time.Time) *lineage {
+	sc.trunkFor(key)
 	sc.nextLinID++
 	l := &lineage{
 		id:      sc.nextLinID,
@@ -266,20 +279,11 @@ func (sc *scheduler) newLineage(key cohortKey, s *session, now time.Time) (*line
 		home:    shardIdx(s),
 		formed:  now,
 		due:     now,
-		src:     src,
-		planner: planner,
-		pktz:    network.NewPacketizer(cfg.MTU),
-	}
-	if l.enc, err = newLineageEncoder(cfg, key, w, h, planner, &l.counters); err != nil {
-		return nil, err
-	}
-	if key.fec > 0 {
-		if l.fec, err = network.NewFECEncoder(key.fec); err != nil {
-			return nil, err
-		}
+		trunk:   true,
+		src:     sc.srv.sourceFor(key.regime),
 	}
 	s.lin = l
-	return l, nil
+	return l
 }
 
 // reap handles graceful stops, session deadlines and feedback
@@ -314,9 +318,11 @@ func (sc *scheduler) reap(now time.Time) {
 
 // dispatch runs one scheduling pass: oldest-member-first over due
 // lineages, partitioning each by the knobs its members want (forking
-// divergers) and handing encode jobs to the farm until the backlog is
-// full. Everything left over is load-shed: deferred, counted, and —
-// via the overloaded flag — admission-gated.
+// divergers), serving trunk lineages from their cohort's trunk log
+// where it reaches, and handing encode jobs to the farm until the
+// backlog is full. Everything left over is load-shed: deferred,
+// counted, and — via the overloaded flag — admission-gated. Trunk hits
+// take no farm slot, so they are never deferred by a full backlog.
 func (sc *scheduler) dispatch(now time.Time) {
 	if sc.orderDirty {
 		sort.Slice(sc.lineages, func(i, j int) bool {
@@ -339,18 +345,68 @@ func (sc *scheduler) dispatch(now time.Time) {
 		if now.Before(l.due) {
 			continue
 		}
+		// Past a full backlog only a possible trunk hit — which needs no
+		// farm slot — is worth partitioning; everything else waits whole.
+		if overloaded && !(l.trunk && l.frame < len(sc.trunkFor(l.key).entries)) {
+			sc.srv.mShedDeferrals.Add(1)
+			continue
+		}
+		knob, shells, ok := sc.partition(l, now)
+		if !ok {
+			continue // lineage dissolved (fork error path)
+		}
+		zero := knob.bits() == [2]uint64{}
+		if zero && !l.trunk && sc.rejoin(l) {
+			sc.srv.cfg.logf("lineage %d: rejoined the trunk at frame %d", l.id, l.frame)
+		}
+		act, writer := actEncode, (*lineage)(nil)
+		if l.trunk && zero && len(l.dependents) == 0 {
+			act, writer = sc.trunkAction(l)
+		}
+		if len(shells) > 0 {
+			// A follower forked: materialise once and clone for the rest.
+			// The host is l itself when it encodes this pass anyway,
+			// otherwise the first fork.
+			host := l
+			if act != actEncode {
+				host, shells = shells[0], shells[1:]
+			}
+			for _, d := range shells {
+				d.inflight = true // borrowed until host's job clones into it
+			}
+			host.dependents = append(host.dependents, shells...)
+			if len(shells) > 0 {
+				sc.srv.cfg.logf("lineage %d: follower fork at frame %d, materialised once for %d dependent lineages",
+					host.id, host.frame, len(shells))
+			}
+		}
+		switch act {
+		case actHit:
+			sc.hit(l, knob, now)
+			continue
+		case actJoin:
+			sc.join(l, writer)
+			i-- // l left the list; its successor now sits at index i
+			continue
+		}
 		if overloaded {
 			sc.srv.mShedDeferrals.Add(1)
 			continue
 		}
-		knob, ok := sc.partition(l, now)
-		if !ok {
-			continue // lineage dissolved (fork error path)
+		job := &encodeJob{lin: l, frame: l.frame, knob: knob, start: now, forks: l.dependents}
+		if l.enc == nil {
+			// Followers hold the trunk state after frame-1 by construction.
+			job.restore = sc.trunkFor(l.key).restorePoint(l.frame - 1)
 		}
-		job := &encodeJob{lin: l, frame: l.frame, knob: knob, start: now}
 		if sc.enqueue(l, job) {
 			l.inflight = true
 			l.started = true
+			l.dependents = nil
+			if !zero {
+				l.trunk = false
+			} else if t := sc.trunkFor(l.key); l.trunk && !t.frozen && l.frame == len(t.entries) {
+				t.writer = l
+			}
 			if sc.srv.cfg.FrameInterval > 0 {
 				l.due = now.Add(sc.srv.cfg.FrameInterval)
 			}
@@ -359,12 +415,76 @@ func (sc *scheduler) dispatch(now time.Time) {
 			sc.srv.mShedDeferrals.Add(1)
 		}
 	}
+	// Trunk hits complete after the walk: completion may merge or drop
+	// lineages, which must not reshuffle the list under the index loop.
+	for _, job := range sc.hits {
+		sc.complete(job, now)
+	}
+	clear(sc.hits)
+	sc.hits = sc.hits[:0]
 	depth := 0
 	for _, q := range sc.jobs {
 		depth += len(q)
 	}
 	sc.srv.mFarmDepth.Set(float64(depth))
 	sc.setOverloaded(overloaded)
+}
+
+// trunkAct is what a trunk lineage whose members all want (0, 0) does
+// with its next frame.
+type trunkAct int
+
+const (
+	actEncode trunkAct = iota // encode it (materialising first if needed)
+	actHit                    // serve it from the trunk log
+	actJoin                   // join the log's writer, which is encoding it now
+)
+
+func (sc *scheduler) trunkAction(l *lineage) (trunkAct, *lineage) {
+	t := sc.trunkFor(l.key)
+	switch {
+	case l.frame < len(t.entries):
+		return actHit, nil
+	case !t.frozen && !sc.srv.cfg.DisableMerge && t.writer != nil && t.writer != l && t.writer.frame == l.frame:
+		return actJoin, t.writer
+	}
+	return actEncode, nil
+}
+
+// join folds trunk lineage l into w, the log's writer, whose in-flight
+// job encodes exactly the frame l needs next: both are trunk lineages
+// at the same frame, identical by construction, and the completion
+// fans the frame out to every member w has by then. Followers behind
+// a writer whose encodes outlast the frame interval would otherwise
+// trail it one frame apart forever, never idle together for tryMerge.
+func (sc *scheduler) join(l, w *lineage) {
+	for _, m := range l.members {
+		m.lin = w
+	}
+	w.members = append(w.members, l.members...)
+	l.members = nil
+	sc.dropLineage(l)
+	sc.srv.mMerges.Add(1)
+	sc.srv.cfg.logf("lineage %d: joined trunk writer lineage %d at frame %d (%d members)",
+		l.id, w.id, w.frame, len(w.members))
+}
+
+// hit queues a trunk hit: frame l.frame served from the log. A trunk
+// lineage that still held encode state (one materialised for a fork, or
+// a former writer the log has caught up with) drops it — the log's
+// checkpoints reconstruct it whenever it is needed again.
+func (sc *scheduler) hit(l *lineage, knob lineageKnobs, now time.Time) {
+	e := &sc.trunkFor(l.key).entries[l.frame]
+	l.dropState()
+	l.inflight = true
+	l.started = true
+	if sc.srv.cfg.FrameInterval > 0 {
+		l.due = now.Add(sc.srv.cfg.FrameInterval)
+	}
+	sc.hits = append(sc.hits, &encodeJob{
+		lin: l, frame: l.frame, knob: knob, start: now, fromLog: true,
+		pkts: e.pkts, intraMBs: e.intraMBs, frameEnergy: e.frameEnergy, counters: e.counters,
+	})
 }
 
 // enqueue offers a job to the lineage's sticky worker queue first, then
@@ -384,7 +504,8 @@ func (sc *scheduler) enqueue(l *lineage, job *encodeJob) bool {
 // updateCohortShared refreshes the per-cohort shared-fraction gauges:
 // 1 − lineages/members per cohort (1 would mean every member rides one
 // lineage for free; 0 means every member encodes privately). Gauges of
-// emptied cohorts are unregistered so the registry tracks the live set.
+// emptied cohorts are unregistered so the registry tracks the live set,
+// and their trunk logs are freed.
 func (sc *scheduler) updateCohortShared() {
 	counts := sc.cohortCounts
 	clear(counts)
@@ -399,14 +520,21 @@ func (sc *scheduler) updateCohortShared() {
 	}
 	for key := range sc.cohortGauges {
 		if _, live := counts[key]; !live {
-			sc.srv.reg.RemovePrefix("server.cohort." + key.name() + ".")
+			sc.srv.reg.Remove(key.gaugeName())
 			delete(sc.cohortGauges, key)
 		}
 	}
+	for key, t := range sc.trunks {
+		if _, live := counts[key]; !live {
+			sc.checkpoints -= t.ckpts
+			delete(sc.trunks, key)
+		}
+	}
+	sc.srv.mTrunkCkpts.Set(float64(sc.checkpoints))
 	for key, c := range counts {
 		g := sc.cohortGauges[key]
 		if g == nil {
-			g = sc.srv.reg.Gauge("server.cohort." + key.name() + ".shared_fraction")
+			g = sc.srv.reg.Gauge(key.gaugeName())
 			sc.cohortGauges[key] = g
 		}
 		g.Set(1 - float64(c[1])/float64(c[0]))
@@ -430,8 +558,10 @@ func (sc *scheduler) setOverloaded(v bool) {
 // knobs they want applied next, forks every group that diverged from
 // the one holding the oldest member, and returns the knobs for the
 // lineage l itself. Forked lineages keep l's due time, so divergence
-// never costs a frame of pacing.
-func (sc *scheduler) partition(l *lineage, now time.Time) (lineageKnobs, bool) {
+// never costs a frame of pacing. Forks of a follower (l.enc == nil)
+// come back as shells without encode state; dispatch arranges their
+// materialisation.
+func (sc *scheduler) partition(l *lineage, now time.Time) (lineageKnobs, []*lineage, bool) {
 	type group struct {
 		knob    lineageKnobs
 		members []*session
@@ -462,6 +592,7 @@ func (sc *scheduler) partition(l *lineage, now time.Time) (lineageKnobs, bool) {
 			}
 		}
 	}
+	var shells []*lineage
 	for _, bits := range order {
 		if bits == keeper {
 			continue
@@ -476,6 +607,9 @@ func (sc *scheduler) partition(l *lineage, now time.Time) (lineageKnobs, bool) {
 			}
 			continue
 		}
+		if nl.enc == nil {
+			shells = append(shells, nl)
+		}
 		sc.lineages = append(sc.lineages, nl)
 		sc.orderDirty = true
 		sc.srv.mForks.Add(1)
@@ -483,17 +617,33 @@ func (sc *scheduler) partition(l *lineage, now time.Time) (lineageKnobs, bool) {
 	sc.srv.mLineages.Set(float64(len(sc.lineages)))
 	if len(l.members) == 0 {
 		sc.dropLineage(l)
-		return lineageKnobs{}, false
+		return lineageKnobs{}, nil, false
 	}
-	return groups[keeper].knob, true
+	return groups[keeper].knob, shells, true
 }
 
-// complete fans a finished encode out to every member of its lineage,
-// advances their books, and retires members that reached their
-// requested frame count.
+// complete fans a finished job out to every member of its lineage,
+// advances their books, appends a trunk frame to the cohort's log, and
+// retires members that reached their requested frame count.
 func (sc *scheduler) complete(job *encodeJob, now time.Time) {
 	l := job.lin
 	l.inflight = false
+	t := sc.trunkFor(l.key)
+	if t.writer == l {
+		t.writer = nil
+	}
+	for _, d := range job.forks {
+		d.inflight = false
+		if job.err != nil {
+			for _, m := range append([]*session(nil), d.members...) {
+				m.sum.Err = job.err.Error()
+				sc.closeMember(m)
+			}
+		}
+		if len(d.members) == 0 {
+			sc.dropLineage(d)
+		}
+	}
 	if job.err != nil {
 		for _, m := range append([]*session(nil), l.members...) {
 			m.sum.Err = job.err.Error()
@@ -503,8 +653,11 @@ func (sc *scheduler) complete(job *encodeJob, now time.Time) {
 		return
 	}
 	l.frame = job.frame + 1
+	if !job.fromLog && l.trunk && job.frame == len(t.entries) && !t.frozen {
+		sc.appendTrunk(t, l, job)
+	}
 	profile := sc.srv.cfg.Profile
-	totalJoules := profile.Joules(l.counters)
+	totalJoules := profile.Joules(job.counters)
 	fanout := 0
 	for _, m := range l.members {
 		if !m.closing {
@@ -532,11 +685,17 @@ func (sc *scheduler) complete(job *encodeJob, now time.Time) {
 			fan(i)
 		}
 	}
-	sc.srv.mEncodes.Add(1)
-	if fanout > 1 {
-		sc.srv.mSharedFrames.Add(int64(fanout - 1))
+	if job.fromLog {
+		sc.srv.mTrunkHits.Add(1)
+		sc.srv.mSharedFrames.Add(int64(fanout))
+	} else {
+		sc.srv.mEncodes.Add(int64(1 + job.replayed))
+		sc.srv.mTrunkReplay.Add(int64(job.replayed))
+		if fanout > 1 {
+			sc.srv.mSharedFrames.Add(int64(fanout - 1))
+		}
+		sc.srv.mEncodeLat.Observe(job.encodeTime)
 	}
-	sc.srv.mEncodeLat.Observe(job.encodeTime)
 	sc.srv.pokeSenders()
 
 	for _, m := range append([]*session(nil), l.members...) {
@@ -549,6 +708,43 @@ func (sc *scheduler) complete(job *encodeJob, now time.Time) {
 		return
 	}
 	sc.tryMerge(l)
+}
+
+// appendTrunk logs the trunk frame l just encoded. On a checkpoint
+// frame it also freezes l's encode state as a restore point — unless
+// the server-wide checkpoint cap is reached, in which case the log
+// freezes instead: an entry without its checkpoint would stretch a
+// later replay past trunkCheckpointEvery-1 frames.
+func (sc *scheduler) appendTrunk(t *trunkLog, l *lineage, job *encodeJob) {
+	e := trunkEntry{pkts: job.pkts, intraMBs: job.intraMBs, frameEnergy: job.frameEnergy, counters: job.counters}
+	if isCheckpointFrame(job.frame) {
+		if sc.checkpoints >= sc.srv.cfg.MaxSessions {
+			t.frozen = true
+			return
+		}
+		ck, err := checkpointOf(l, job.counters)
+		if err != nil {
+			t.frozen = true
+			return
+		}
+		e.ckpt = ck
+		t.ckpts++
+		sc.checkpoints++
+		sc.srv.mTrunkCkpts.Set(float64(sc.checkpoints))
+	}
+	t.entries = append(t.entries, e)
+}
+
+// trunkFor returns key's trunk log, creating an empty one if the
+// cohort has none (a log is only a cache of the cohort's deterministic
+// trunk, so starting one afresh is always sound).
+func (sc *scheduler) trunkFor(key cohortKey) *trunkLog {
+	t := sc.trunks[key]
+	if t == nil {
+		t = &trunkLog{}
+		sc.trunks[key] = t
+	}
+	return t
 }
 
 // parallelFanoutMin is the member count above which complete() fans a
@@ -581,7 +777,6 @@ func (sc *scheduler) fanoutMember(m *session, job *encodeJob, totalJoules float6
 	m.mTh.Set(job.knob.th)
 	m.mDepth.Set(float64(m.queue.depth()))
 	m.mJoules.Set(totalJoules)
-	m.mEncode.Observe(job.encodeTime)
 	if d := m.queue.droppedFrames() - m.sum.QueueDroppedFrames; d > 0 {
 		m.mQueueDrop.Add(d)
 		m.sum.QueueDroppedFrames += d
@@ -593,30 +788,36 @@ func (sc *scheduler) fanoutMember(m *session, job *encodeJob, totalJoules float6
 // preconditions mirror the correctness argument in lineage.go: both
 // lineages quiescent (every member's applied knobs exactly (0, 0), so
 // divergent planner σ histories cannot reach the bitstream), neither
-// inflight, and bit-identical encoder + packetiser state. Cheap
-// filters run first; the reference-frame digest and deep comparison
-// only happen for genuine reconvergence candidates. At most one merge
-// per call — the next completion retries, so chains of forks still
-// collapse, just one completion apart.
+// inflight, and equal forward-looking encode state (sameState). At
+// most one merge per call — the next completion retries, so chains of
+// forks still collapse, just one completion apart.
 func (sc *scheduler) tryMerge(l *lineage) {
-	if sc.srv.cfg.DisableMerge || l.inflight || !l.started || len(l.members) == 0 {
-		return
-	}
-	if !sc.quiescent(l) {
+	if sc.srv.cfg.DisableMerge || !mergeable(l) || !sc.quiescent(l) {
 		return
 	}
 	for _, p := range sc.lineages {
-		if p == l || p.inflight || !p.started || len(p.members) == 0 || p.key != l.key {
+		if p == l || !mergeable(p) || p.key != l.key || p.frame != l.frame {
 			continue
 		}
-		if !sc.quiescent(p) || !l.stateMatches(p) {
+		if !sc.quiescent(p) || !sc.sameState(l, p) {
 			continue
 		}
-		// Fold the younger lineage into the older so the merged lineage
-		// keeps the older scheduling priority (and the members that have
-		// been waiting longest keep their place in line).
+		// Keep the state worth keeping: a trunk lineage's over a
+		// recovered fork's (so the log's invariants keep holding for the
+		// merged members), encode state over none (a follower folded
+		// into its cohort's writer stops costing a replay); otherwise the
+		// older lineage, whose members have waited longest.
 		keep, drop := l, p
-		if p.oldestMember() < l.oldestMember() {
+		switch {
+		case p.trunk != l.trunk:
+			if p.trunk {
+				keep, drop = p, l
+			}
+		case (p.enc != nil) != (l.enc != nil):
+			if p.enc != nil {
+				keep, drop = p, l
+			}
+		case p.oldestMember() < l.oldestMember():
 			keep, drop = p, l
 		}
 		for _, m := range drop.members {
@@ -633,6 +834,50 @@ func (sc *scheduler) tryMerge(l *lineage) {
 			drop.id, keep.id, keep.frame, len(keep.members))
 		return
 	}
+}
+
+// mergeable: live, started, idle, and not hosting a pending
+// materialisation for dependents.
+func mergeable(l *lineage) bool {
+	return !l.inflight && l.started && len(l.members) > 0 && len(l.dependents) == 0
+}
+
+// sameState reports whether two same-cohort lineages at the same frame
+// have equal forward-looking encode state. Two trunk lineages do by
+// construction (trunk state is a function of cohort and frame), so no
+// comparison runs; otherwise both hold encoders to compare. (A
+// recovered fork meets a follower, which holds none, through rejoin.)
+func (sc *scheduler) sameState(l, p *lineage) bool {
+	switch {
+	case l.trunk && p.trunk:
+		return true
+	case l.enc != nil && p.enc != nil:
+		return l.stateMatches(p)
+	}
+	return false
+}
+
+// rejoin returns a recovered fork to its cohort's trunk. A lineage
+// whose members all want (0, 0) again and whose encode state equals
+// the log's checkpoint for its last frame is, from here on, exactly a
+// trunk lineage: planner σ, the one difference, cannot reach the
+// bitstream at (0, 0). It drops its state and follows the log. Unlike
+// tryMerge this needs no partner lineage idle at the same moment — two
+// lineages paced in lockstep whose encodes together outlast a frame
+// interval never are — and the log's checkpoints keep true trunk σ.
+func (sc *scheduler) rejoin(l *lineage) bool {
+	t := sc.trunkFor(l.key)
+	k := l.frame - 1
+	if sc.srv.cfg.DisableMerge || k < 0 || k >= len(t.entries) || t.entries[k].ckpt == nil {
+		return false
+	}
+	ck := t.entries[k].ckpt
+	if l.pktz.Seq() != ck.pktz.Seq() || l.enc.StateDigest() != ck.enc.StateDigest() || !l.enc.StateEqual(ck.enc) {
+		return false
+	}
+	l.dropState()
+	l.trunk = true
+	return true
 }
 
 // quiescent reports whether every member of l currently wants the
@@ -680,6 +925,18 @@ func (sc *scheduler) dropLineage(l *lineage) {
 	}
 	sc.orderDirty = true
 	sc.srv.mLineages.Set(float64(len(sc.lineages)))
+	// Pending dependents need a new host: the first takes over the
+	// materialisation (it is a follower too) for the rest, or, if its
+	// members left while it was borrowed, passes them on in turn.
+	if deps := l.dependents; len(deps) > 0 {
+		l.dependents = nil
+		h := deps[0]
+		h.inflight = false
+		h.dependents = append(h.dependents, deps[1:]...)
+		if len(h.members) == 0 {
+			sc.dropLineage(h)
+		}
+	}
 }
 
 // finalize records a session's summary once its End is on the wire (or
@@ -770,29 +1027,43 @@ func (sc *scheduler) worker(ctx context.Context, i int) {
 	}
 }
 
-// encode runs the job: retune the planner, encode, packetise, protect.
+// encode runs the job: materialise the lineage if it is a follower
+// (restore its checkpoint, replay to the frame before this one at
+// (0, 0)), clone the state into any dependents, then retune the
+// planner, encode, packetise, protect.
 func (sc *scheduler) encode(job *encodeJob) {
 	l := job.lin
-	l.planner.SetPLR(job.knob.plr)
-	l.planner.SetIntraTh(job.knob.th)
 	t0 := time.Now()
-	ef, err := l.enc.EncodeFrame(l.src.Frame(job.frame))
-	job.encodeTime = time.Since(t0)
+	defer func() { job.encodeTime = time.Since(t0) }()
+	if l.enc == nil {
+		if job.err = l.restore(&sc.srv.cfg, job.restore); job.err != nil {
+			return
+		}
+		from := 0
+		if job.restore != nil {
+			from = job.restore.frame + 1
+		}
+		for f := from; f < job.frame; f++ {
+			if _, _, job.err = l.encodeFrame(f, lineageKnobs{}); job.err != nil {
+				return
+			}
+			l.prevCounters = l.counters
+		}
+		job.replayed = job.frame - from
+	}
+	for _, d := range job.forks {
+		if job.err = l.cloneInto(d); job.err != nil {
+			return
+		}
+	}
+	pkts, intraMBs, err := l.encodeFrame(job.frame, job.knob)
 	if err != nil {
 		job.err = err
 		return
 	}
-	var pkts []network.Packet
-	if l.key.interleave > 1 {
-		pkts = l.pktz.PacketizeInterleaved(ef, l.key.interleave)
-	} else {
-		pkts = l.pktz.Packetize(ef)
-	}
-	if l.fec != nil {
-		pkts = append(l.fec.Protect(pkts), l.fec.Flush()...)
-	}
 	job.pkts = pkts
-	job.intraMBs = ef.Plan.IntraCount()
+	job.intraMBs = intraMBs
 	job.frameEnergy = sc.srv.cfg.Profile.Joules(l.counters.Sub(l.prevCounters))
+	job.counters = l.counters
 	l.prevCounters = l.counters
 }

@@ -204,9 +204,9 @@ func (sn *sender) flush() {
 			// End of stream: repeat the End datagram a few times so a
 			// lossy path is unlikely to strand the client until its
 			// idle timeout. Flip endSent first — the instant the burst
-			// is on the wire the client can close and its port can be
-			// reused, so duplicate-hello suppression must already be off
-			// for this address (see handleHello).
+			// is on the wire the client can close, so a hello retransmit
+			// that arrives from now on must get the End repeated rather
+			// than the accept (see handleHello).
 			m.endSent.Store(true)
 			frames := int(m.framesEncoded.Load())
 			for i := 0; i < 3; i++ {

@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
+	"net"
 	"runtime"
 	"strings"
 	"testing"
@@ -373,5 +375,100 @@ func TestWireNetworkLoss(t *testing.T) {
 	}
 	if mon.Lost() != int64(len(frameB)) {
 		t.Fatalf("monitor inferred %d lost, want %d", mon.Lost(), len(frameB))
+	}
+}
+
+// TestHelloRetransmitAfterEnd pins duplicate-hello handling across a
+// session's whole life. The client nonce tells a retransmitted hello —
+// even one delayed past the session's End — from a new client reusing
+// the address: a same-nonce hello re-accepts the live session and
+// repeats the End of a finished one, never admitting a second session
+// that would stream to a client that is done; a new nonce on the same
+// port is admitted fresh.
+func TestHelloRetransmitAfterEnd(t *testing.T) {
+	srv, err := New(Config{Addr: "127.0.0.1:0", MaxSessions: 4, FrameInterval: 40 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.DialUDP("udp", nil, srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	buf := make([]byte, 65536)
+	// await reads until a datagram of type want for session id (0: any
+	// id) arrives, skipping media and anything else.
+	await := func(want byte, id uint32) uint32 {
+		t.Helper()
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		for {
+			n, err := conn.Read(buf)
+			if err != nil {
+				t.Fatalf("waiting for %q: %v", want, err)
+			}
+			if n == 0 || buf[0] != want {
+				continue
+			}
+			var got uint32
+			switch want {
+			case msgAccept:
+				got, _, err = parseAccept(buf[:n])
+			case msgEnd:
+				var ok bool
+				if got, _, ok = parseEnd(buf[:n]); !ok {
+					err = fmt.Errorf("malformed end")
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if id == 0 || got == id {
+				return got
+			}
+		}
+	}
+	send := func(h hello) {
+		t.Helper()
+		if _, err := conn.Write(appendHello(nil, h)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	h := hello{Frames: 4, Regime: synth.RegimeForeman, Nonce: newNonce()}
+	send(h)
+	first := await(msgAccept, 0)
+	send(h) // retransmit while streaming
+	if again := await(msgAccept, 0); again != first {
+		t.Fatalf("retransmitted hello accepted as session %d, want existing %d", again, first)
+	}
+	await(msgEnd, first)
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.ActiveSessions() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("session never finished")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	send(h) // the same hello, landing after the session is gone
+	if got := await(msgEnd, 0); got != first {
+		t.Fatalf("late retransmit answered with End for session %d, want %d", got, first)
+	}
+	time.Sleep(50 * time.Millisecond)
+	if n := srv.Registry().Snapshot()["server.sessions_started"]; n != 1 || srv.ActiveSessions() != 0 {
+		t.Fatalf("late retransmit admitted a session: %v started, %d active", n, srv.ActiveSessions())
+	}
+
+	h.Nonce = newNonce() // a new client on the reused port
+	send(h)
+	second := await(msgAccept, 0)
+	if second == first {
+		t.Fatalf("new client re-accepted onto finished session %d", first)
+	}
+	await(msgEnd, second)
+	if n := srv.Registry().Snapshot()["server.sessions_started"]; n != 2 {
+		t.Errorf("server.sessions_started = %v, want 2", n)
 	}
 }

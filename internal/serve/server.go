@@ -204,6 +204,20 @@ func (c *Config) logf(format string, args ...any) {
 // maxKeptSummaries bounds the completed-session history.
 const maxKeptSummaries = 256
 
+// tombstone is a finished session as a late hello retransmit sees it.
+type tombstone struct {
+	id     uint32
+	nonce  uint64
+	frames int
+}
+
+// tombstoneRef names a ring slot's entry in Server.ended; eviction
+// deletes the entry only while it is still the same session's.
+type tombstoneRef struct {
+	addr string
+	id   uint32
+}
+
 // shard is one slice of the sharded datapath: a socket (bound with
 // SO_REUSEPORT alongside its peers when RecvShards > 1), the read loop
 // state draining it, and the sender goroutine transmitting on it. The
@@ -263,6 +277,14 @@ type Server struct {
 	accepting bool
 	sessions  map[uint32]*session
 	byAddr    map[string]*session
+	// ended remembers recently finished sessions by client address, so
+	// a hello retransmit that arrives after its session is gone (same
+	// nonce) is answered with the End again instead of being admitted
+	// as a new session. Bounded: endedRing evicts the oldest beyond
+	// MaxSessions entries.
+	ended     map[string]tombstone
+	endedRing []tombstoneRef
+	endedNext int
 	nextID    uint32
 	summaries []SessionSummary
 	sources   map[synth.Regime]synth.Source
@@ -277,6 +299,9 @@ type Server struct {
 	mSharedFrames  *obs.Counter
 	mForks         *obs.Counter
 	mMerges        *obs.Counter
+	mTrunkHits     *obs.Counter
+	mTrunkReplay   *obs.Counter
+	mTrunkCkpts    *obs.Gauge
 	mLineages      *obs.Gauge
 	mFarmDepth     *obs.Gauge
 	mShedDeferrals *obs.Counter
@@ -376,6 +401,7 @@ func New(cfg Config) (*Server, error) {
 		accepting: true,
 		sessions:  make(map[uint32]*session),
 		byAddr:    make(map[string]*session),
+		ended:     make(map[string]tombstone),
 		sources:   make(map[synth.Regime]synth.Source),
 
 		mActive:        cfg.Registry.Gauge("server.sessions_active"),
@@ -388,6 +414,9 @@ func New(cfg Config) (*Server, error) {
 		mSharedFrames:  cfg.Registry.Counter("server.encode_shared_frames"),
 		mForks:         cfg.Registry.Counter("server.lineage_forks"),
 		mMerges:        cfg.Registry.Counter("server.lineage_merges"),
+		mTrunkHits:     cfg.Registry.Counter("server.trunk_hits"),
+		mTrunkReplay:   cfg.Registry.Counter("server.trunk_replay_frames"),
+		mTrunkCkpts:    cfg.Registry.Gauge("server.trunk_checkpoints"),
 		mLineages:      cfg.Registry.Gauge("server.lineages_active"),
 		mFarmDepth:     cfg.Registry.Gauge("server.farm_queue_depth"),
 		mShedDeferrals: cfg.Registry.Counter("server.loadshed_deferrals"),
@@ -676,19 +705,29 @@ func (s *Server) handleHello(sh *shard, buf []byte, addr *net.UDPAddr) {
 	}
 
 	s.mu.Lock()
-	// Duplicate-hello suppression applies only while the session is
-	// live: once the client has said bye — or once the End burst is on
-	// the wire (endSent), which is the moment the old client can read
-	// it, close, and surrender its ephemeral port — the address may
-	// already belong to a brand-new client, and re-accepting that
-	// newcomer onto the dead stream would strand it until its idle
-	// timeout. A stopped-or-ended mapping falls through to fresh
-	// admission below, which re-points byAddr at the newcomer.
-	if existing := s.byAddr[addr.String()]; existing != nil &&
-		!existing.stopReq.Load() && !existing.endSent.Load() {
+	// Duplicate-hello suppression keys on the client's nonce, not just
+	// its address. A same-nonce hello is a retransmit of the hello that
+	// created the session — possibly delayed past the session's end —
+	// and never a new session: while the session streams, it gets the
+	// accept again; once the End is on the wire (or the session is
+	// gone), the End again. A new nonce from a known address is a new
+	// client that reuses the port, and falls through to fresh admission
+	// below, which re-points byAddr at the newcomer.
+	key := addr.String()
+	if existing := s.byAddr[key]; existing != nil && existing.nonce == h.Nonce {
 		id, frames := existing.id, existing.req.Frames
+		ended, encoded := existing.endSent.Load(), existing.framesEncoded.Load()
 		s.mu.Unlock()
-		sh.writeTo(appendAccept(nil, id, frames), addr)
+		if ended {
+			sh.writeTo(appendEnd(nil, id, int(encoded)), addr)
+		} else {
+			sh.writeTo(appendAccept(nil, id, frames), addr)
+		}
+		return
+	}
+	if t, ok := s.ended[key]; ok && t.nonce == h.Nonce {
+		s.mu.Unlock()
+		sh.writeTo(appendEnd(nil, t.id, t.frames), addr)
 		return
 	}
 	if !s.accepting {
@@ -717,12 +756,13 @@ func (s *Server) handleHello(sh *shard, buf []byte, addr *net.UDPAddr) {
 		client:   copyAddr(addr),
 		req:      h,
 		sh:       sh,
+		nonce:    h.Nonce,
 		feedback: make(chan report, 16),
 		done:     make(chan struct{}),
 		queue:    newFrameQueue(s.cfg.QueueFrames),
 	}
 	s.sessions[sess.id] = sess
-	s.byAddr[addr.String()] = sess
+	s.byAddr[key] = sess
 	active := len(s.sessions)
 	s.mu.Unlock()
 
@@ -746,15 +786,17 @@ func (s *Server) reject(sh *shard, addr *net.UDPAddr, reason string) {
 // slice and closes its done channel. Called from the scheduler only.
 func (s *Server) finishSession(sess *session) {
 	sum := sess.sum
-	s.reg.RemovePrefix(sess.metricPrefix())
+	s.reg.Remove(sess.mNames...)
+	key := sess.client.String()
 	s.mu.Lock()
 	delete(s.sessions, sess.id)
 	// The address may have been re-registered by a successor session
 	// (port reuse between this session's stop and its finalisation);
 	// only remove the mapping while this session still owns it.
-	if s.byAddr[sess.client.String()] == sess {
-		delete(s.byAddr, sess.client.String())
+	if s.byAddr[key] == sess {
+		delete(s.byAddr, key)
 	}
+	s.remember(key, tombstone{id: sess.id, nonce: sess.nonce, frames: sum.FramesEncoded})
 	s.summaries = append(s.summaries, sum)
 	if len(s.summaries) > maxKeptSummaries {
 		s.summaries = s.summaries[len(s.summaries)-maxKeptSummaries:]
@@ -771,6 +813,23 @@ func (s *Server) finishSession(sess *session) {
 		sum.ID, sum.FramesEncoded, sum.FramesRequested, sum.PacketsSent,
 		sum.QueueDroppedFrames, sum.FinalAlpha, sum.FinalIntraTh, outcome)
 	close(sess.done)
+}
+
+// remember records a finished session's tombstone, evicting the oldest
+// once MaxSessions are kept. Caller holds s.mu.
+func (s *Server) remember(addr string, t tombstone) {
+	ref := tombstoneRef{addr: addr, id: t.id}
+	if len(s.endedRing) < s.cfg.MaxSessions {
+		s.endedRing = append(s.endedRing, ref)
+	} else {
+		old := s.endedRing[s.endedNext]
+		if e, ok := s.ended[old.addr]; ok && e.id == old.id {
+			delete(s.ended, old.addr)
+		}
+		s.endedRing[s.endedNext] = ref
+		s.endedNext = (s.endedNext + 1) % len(s.endedRing)
+	}
+	s.ended[addr] = t
 }
 
 // Shutdown stops admitting, asks every session to stop gracefully and

@@ -59,6 +59,7 @@ type session struct {
 	id     uint32
 	client *net.UDPAddr
 	req    hello
+	nonce  uint64 // the hello's client nonce (see handleHello)
 	// sh is the receive shard whose socket saw this session's hello —
 	// the kernel's 4-tuple steering keeps the client's datagrams on it —
 	// and therefore the shard whose sender carries the session's media:
@@ -77,10 +78,8 @@ type session struct {
 	// or by Shutdown; the scheduler acts on it at its next pass.
 	stopReq atomic.Bool
 	// endSent flips when the sender puts the End burst on the wire.
-	// From that moment the client may read the End, close its socket
-	// and surrender its ephemeral port, so a hello from this address
-	// must be treated as a brand-new client, never as a retransmit —
-	// see handleHello's duplicate suppression.
+	// From that moment a retransmitted hello (same nonce) is answered
+	// with the End again — see handleHello's duplicate suppression.
 	endSent atomic.Bool
 	// done closes when the session is fully finished and its summary
 	// recorded. Shutdown waits on it.
@@ -104,7 +103,8 @@ type session struct {
 	finished     bool // summary recorded, metrics removed
 
 	// Per-session metrics, registered at admission under "s<id>." and
-	// removed when the session finishes.
+	// removed by exact name (mNames) when the session finishes.
+	mNames     []string
 	mFrames    *obs.Counter
 	mPackets   *obs.Counter
 	mBytes     *obs.Counter
@@ -115,7 +115,6 @@ type session struct {
 	mTh        *obs.Gauge
 	mDepth     *obs.Gauge
 	mJoules    *obs.Gauge
-	mEncode    *obs.Histogram
 }
 
 // shardIdx returns the index of the session's receive shard (0 for
@@ -127,23 +126,26 @@ func shardIdx(s *session) int {
 	return 0
 }
 
-// metricPrefix namespaces this session's metrics in the registry.
-func (s *session) metricPrefix() string { return fmt.Sprintf("s%d.", s.id) }
-
-// registerMetrics creates the per-session metric set. Scheduler-only.
+// registerMetrics creates the per-session metric set under "s<id>."
+// and records the exact names, so teardown is one registry delete per
+// metric rather than a scan over every live entry. Scheduler-only.
 func (s *session) registerMetrics(reg *obs.Registry) {
-	prefix := s.metricPrefix()
-	s.mFrames = reg.Counter(prefix + "frames_encoded")
-	s.mPackets = reg.Counter(prefix + "packets_sent")
-	s.mBytes = reg.Counter(prefix + "bytes_sent")
-	s.mQueueDrop = reg.Counter(prefix + "queue_dropped_frames")
-	s.mReports = reg.Counter(prefix + "reports")
-	s.mIntra = reg.Counter(prefix + "intra_mbs")
-	s.mAlpha = reg.Gauge(prefix + "alpha_hat")
-	s.mTh = reg.Gauge(prefix + "intra_th")
-	s.mDepth = reg.Gauge(prefix + "queue_depth")
-	s.mJoules = reg.Gauge(prefix + "energy_joules")
-	s.mEncode = reg.Histogram(prefix + "encode_latency")
+	prefix := fmt.Sprintf("s%d.", s.id)
+	name := func(suffix string) string {
+		n := prefix + suffix
+		s.mNames = append(s.mNames, n)
+		return n
+	}
+	s.mFrames = reg.Counter(name("frames_encoded"))
+	s.mPackets = reg.Counter(name("packets_sent"))
+	s.mBytes = reg.Counter(name("bytes_sent"))
+	s.mQueueDrop = reg.Counter(name("queue_dropped_frames"))
+	s.mReports = reg.Counter(name("reports"))
+	s.mIntra = reg.Counter(name("intra_mbs"))
+	s.mAlpha = reg.Gauge(name("alpha_hat"))
+	s.mTh = reg.Gauge(name("intra_th"))
+	s.mDepth = reg.Gauge(name("queue_depth"))
+	s.mJoules = reg.Gauge(name("energy_joules"))
 }
 
 // drainFeedback folds every pending receiver report into the

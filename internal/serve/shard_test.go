@@ -21,6 +21,12 @@ import (
 // single-socket server. Media packet hashes ignore the datagram header
 // (session id, send stamp), so the comparison is exactly the paper's
 // deliverable: the encoded, packetised, FEC-protected stream.
+//
+// Each server also gets a late joiner: a session admitted in a later
+// cohort window, after the first lineage has started, which is served
+// from the cohort's trunk log rather than encoded. Its stream and its
+// SessionSummary books (intra MBs, energy, trace) must match the solo
+// session's exactly.
 func TestShardedStreamByteIdentical(t *testing.T) {
 	if !network.ReusePortSupported() {
 		t.Skip("SO_REUSEPORT sharding requires linux")
@@ -38,33 +44,39 @@ func TestShardedStreamByteIdentical(t *testing.T) {
 	if err := single.Shutdown(context.Background()); err != nil {
 		t.Fatalf("single-socket server shutdown: %v", err)
 	}
+	ref := single.Summaries()[0]
 
-	for _, shards := range []int{2, 4} {
+	for _, shards := range []int{1, 2, 4} {
+		const window = 200 * time.Millisecond
 		srv, err := New(Config{
-			Addr:         "127.0.0.1:0",
-			MaxSessions:  8,
-			RecvShards:   shards,
-			CohortWindow: 500 * time.Millisecond,
+			Addr:          "127.0.0.1:0",
+			MaxSessions:   8,
+			RecvShards:    shards,
+			CohortWindow:  window,
+			FrameInterval: 20 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatalf("%d shards: %v", shards, err)
 		}
 		// Several concurrent members: their distinct source ports steer
 		// them to different shards, so the shared lineage's fanout spans
-		// shard senders.
+		// shard senders. The late joiner arrives once that lineage runs.
 		type run struct {
 			hashes []string
 			err    error
 		}
-		streams := make(chan run, 3)
-		for c := 0; c < 3; c++ {
-			go func() {
-				hashes, err := hashedStream(srv.Addr().String(), frames)
-				streams <- run{hashes, err}
-			}()
+		streams := make(chan run, 4)
+		stream := func() {
+			hashes, err := hashedStream(srv.Addr().String(), frames)
+			streams <- run{hashes, err}
 		}
+		for c := 0; c < 3; c++ {
+			go stream()
+		}
+		time.Sleep(window + 100*time.Millisecond)
+		go stream()
 		var runs [][]string
-		for i := 0; i < 3; i++ {
+		for i := 0; i < 4; i++ {
 			r := <-streams
 			if r.err != nil {
 				t.Fatalf("%d shards: member stream: %v", shards, r.err)
@@ -81,6 +93,16 @@ func TestShardedStreamByteIdentical(t *testing.T) {
 						shards, f, i)
 				}
 			}
+		}
+		for _, sum := range srv.Summaries() {
+			if sum.IntraMBs != ref.IntraMBs || sum.EnergyJoules != ref.EnergyJoules ||
+				fmt.Sprint(sum.Trace) != fmt.Sprint(ref.Trace) {
+				t.Errorf("%d shards: session %d books (intra %d, energy %v) differ from the solo session's (%d, %v)",
+					shards, sum.ID, sum.IntraMBs, sum.EnergyJoules, ref.IntraMBs, ref.EnergyJoules)
+			}
+		}
+		if snap := srv.Registry().Snapshot(); snap["server.trunk_hits"] < 1 {
+			t.Errorf("%d shards: the late joiner was never served from the trunk log", shards)
 		}
 	}
 }
@@ -110,7 +132,7 @@ func handoffStream(server string, frames int) (got int, err error) {
 	}
 	defer side.Close()
 
-	h := hello{Frames: frames, Regime: synth.RegimeForeman, ReportEvery: 2}
+	h := hello{Frames: frames, Regime: synth.RegimeForeman, ReportEvery: 2, Nonce: newNonce()}
 	var id uint32
 	buf := make([]byte, 65536)
 handshake:

@@ -35,6 +35,7 @@ func drainStream(server string, h hello, reportEvery int) (frames, packets int, 
 	}
 	defer conn.Close()
 
+	h.Nonce = newNonce()
 	var id uint32
 	buf := make([]byte, 2048)
 handshake:

@@ -10,7 +10,7 @@
 //
 //	client → server
 //	  'H' hello:  ver u8 | frames u32 | regime u8 | qp u8 |
-//	              reportEvery u8 | fecGroup u8 | interleave u8
+//	              reportEvery u8 | fecGroup u8 | interleave u8 | nonce u64
 //	  'R' report: session u32 | fractionLost per-mille u16 |
 //	              received u32 | lost u32 | e2eMicros u32
 //	  'B' bye:    session u32
@@ -21,6 +21,12 @@
 //	  'M' media:  session u32 | sendMicros u64 | network.Packet wire encoding
 //	  'C' media:  session u32 | sendMicros u64 | network wire batch (coalesced)
 //	  'E' end:    session u32 | framesEncoded u32
+//
+// nonce is drawn at random once per client session and repeated in
+// every retransmit of its hello, so the server can tell a late
+// retransmit (same nonce: answer for the existing session, or repeat
+// its End once it is over) from a new client that reuses the address
+// (new nonce: a fresh admission).
 //
 // sendMicros is the server's transmit timestamp (unix µs, stamped as
 // the datagram leaves the sender); a client subtracts it from its
@@ -43,6 +49,7 @@ package serve
 import (
 	"encoding/binary"
 	"fmt"
+	"math/rand/v2"
 
 	"pbpair/internal/network"
 	"pbpair/internal/synth"
@@ -51,8 +58,9 @@ import (
 // protocolVersion gates hellos: a server rejects clients speaking a
 // different version rather than mis-parsing them. Version 2 added the
 // 'C' coalesced media datagram; version 3 added the media send
-// timestamp and the report's end-to-end latency echo.
-const protocolVersion = 3
+// timestamp and the report's end-to-end latency echo; version 4 added
+// the hello's client nonce.
+const protocolVersion = 4
 
 // mediaHeaderLen is the 'M'/'C' datagram header: type byte, session
 // id, send timestamp. Both media types share the layout, which is what
@@ -80,27 +88,39 @@ type hello struct {
 	ReportEvery int
 	FECGroup    int // 0 = no FEC, else parity every FECGroup media packets
 	Interleave  int // <= 1 = contiguous packetisation, else n-way GOB interleave
+	Nonce       uint64
 }
 
+// newNonce draws a hello nonce: one per client session, reused by its
+// retransmits.
+func newNonce() uint64 { return rand.Uint64() }
+
+// helloLen is the encoded hello size.
+const helloLen = 19
+
 func appendHello(buf []byte, h hello) []byte {
-	var b [10]byte
+	var b [helloLen]byte
 	b[0] = msgHello
 	b[1] = protocolVersion
 	binary.BigEndian.PutUint32(b[2:6], uint32(h.Frames))
 	b[6] = byte(h.Regime)
 	b[7] = byte(h.QP)
 	b[8] = byte(h.ReportEvery)
-	// Pack FEC and interleave into one byte each at the end.
-	buf = append(buf, b[:9]...)
-	return append(buf, byte(h.FECGroup), byte(h.Interleave))
+	b[9] = byte(h.FECGroup)
+	b[10] = byte(h.Interleave)
+	binary.BigEndian.PutUint64(b[11:19], h.Nonce)
+	return append(buf, b[:]...)
 }
 
 func parseHello(b []byte) (hello, error) {
-	if len(b) < 11 || b[0] != msgHello {
+	if len(b) < 2 || b[0] != msgHello {
 		return hello{}, fmt.Errorf("serve: malformed hello (%d bytes)", len(b))
 	}
 	if b[1] != protocolVersion {
 		return hello{}, fmt.Errorf("serve: protocol version %d, want %d", b[1], protocolVersion)
+	}
+	if len(b) < helloLen {
+		return hello{}, fmt.Errorf("serve: malformed hello (%d bytes)", len(b))
 	}
 	return hello{
 		Frames:      int(binary.BigEndian.Uint32(b[2:6])),
@@ -109,6 +129,7 @@ func parseHello(b []byte) (hello, error) {
 		ReportEvery: int(b[8]),
 		FECGroup:    int(b[9]),
 		Interleave:  int(b[10]),
+		Nonce:       binary.BigEndian.Uint64(b[11:19]),
 	}, nil
 }
 
