@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet test race bench bench-json docs-lint fuzz soak-smoke check
+.PHONY: all build fmt vet test race bench bench-json docs-lint perfbench-check fuzz soak-smoke check
 
 # Seconds each fuzz target runs under `make fuzz` (CI uses the same
 # smoke budget; raise it locally for a real fuzzing session).
@@ -112,6 +112,13 @@ soak-smoke:
 docs-lint:
 	$(GO) run ./cmd/pbpair-mdlint .
 
+# The benchmark harness under perfbench/ is its own module (it pins
+# the parent module with a replace directive), so `go build ./...`
+# from the root never compiles it. Vet and test it here, so a change to
+# the experiment API cannot break the benchmark silently.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Short fuzz smoke over every fuzz target: decoder, entropy reader,
 # stream container, the fast-vs-reference kernel equivalence harness
 # (SAD, DCT, bitstream, VLC, frame metrics, concealment) and the
@@ -131,4 +138,4 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzBitstreamEquiv -fuzztime $(FUZZTIME) ./internal/bitstream/
 	$(GO) test -run xxx -fuzz FuzzVLCDecodeEquiv -fuzztime $(FUZZTIME) ./internal/entropy/
 
-check: build fmt vet test race soak-smoke docs-lint
+check: build fmt vet test race soak-smoke docs-lint perfbench-check

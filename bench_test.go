@@ -875,11 +875,18 @@ func BenchmarkFig5MultiCached(b *testing.B) {
 		SearchRange: 7,
 		Workers:     1, // single worker: a pure encode-work comparison
 	}
-	b.Run("uncached", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := experiment.Fig5Multi(cfg, seeds); err != nil {
+	runSeeds := func(b *testing.B, cfg experiment.Fig5Config) {
+		for _, seed := range seeds {
+			c := cfg
+			c.Seed = seed
+			if _, err := experiment.Fig5(c); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+	b.Run("uncached", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			runSeeds(b, cfg)
 		}
 	})
 	b.Run("cached", func(b *testing.B) {
@@ -892,9 +899,7 @@ func BenchmarkFig5MultiCached(b *testing.B) {
 			}
 			c := cfg
 			c.Cache = cache
-			if _, err := experiment.Fig5Multi(c, seeds); err != nil {
-				b.Fatal(err)
-			}
+			runSeeds(b, c)
 			snap := reg.Snapshot()
 			hits, misses = snap["bitcache.hits"], snap["bitcache.misses"]
 		}

@@ -1,6 +1,6 @@
 // pbpair-figures regenerates the paper's evaluation figures as text
 // tables and CSV series (DESIGN.md experiments E1–E11, plus the
-// multi-seed statistics and the E18 content-sensitivity study).
+// multi-trial statistics and the E18 content-sensitivity study).
 //
 // Usage:
 //
@@ -9,7 +9,8 @@
 //	pbpair-figures -fig headline     # §1/§5 energy-saving percentages
 //	pbpair-figures -fig devices      # iPAQ vs Zaurus (§4.1)
 //	pbpair-figures -fig recovery     # E11 recovery speed
-//	pbpair-figures -fig stats        # Figure 5 with error bars
+//	pbpair-figures -fig stats -trials 1000   # Figure 5 with error bars
+//	pbpair-figures -fig 5 -analytic  # closed-form Figure 5
 //	pbpair-figures -fig content      # E18 five-regime study
 //	pbpair-figures -fig 5 -frames 300   # paper-scale run
 package main
@@ -31,7 +32,7 @@ import (
 var cache *bitcache.Store
 
 // decWorkers is the process-wide decoder worker count from
-// -dec-workers; like cache it is shared by every experiment below.
+// -dec-workers, shared by the Figure 6 and content simulations.
 var decWorkers int
 
 func main() {
@@ -42,18 +43,37 @@ func main() {
 }
 
 func run() error {
-	fig := flag.String("fig", "5", "figure to regenerate: 5, 5a, 5b, 5c, 5d, 6, 6a, 6b, headline, devices, recovery, stats, content")
+	fig := flag.String("fig", "5", "figure to regenerate: 5, 5a, 5b, 5c, 5d, 6, 6a, 6b, headline, devices, recovery, stats, content, all")
 	frames := flag.Int("frames", 120, "frames per run (paper: 300 for Fig 5, 50 for Fig 6)")
 	plr := flag.Float64("plr", 0.1, "packet loss rate for Fig 5")
-	analytic := flag.Bool("analytic", false, "render Figure 5 from the closed-form engine (expected metrics under i.i.d. loss at -plr, no channel simulation); applies to -fig 5/5a/5b/5c/5d")
-	seeds := flag.Int("seeds", 5, "independent loss seeds for -fig stats")
-	trials := flag.Int("trials", 1, "with -fig stats: channel realizations per cell through the bit-packed batch engine instead of -seeds reruns (trial 0 reproduces the single-run figure)")
+	analytic := flag.Bool("analytic", false, "evaluate Figure 5 with the closed-form engine (expected metrics under i.i.d. loss at -plr, no channel simulation); does not combine with -trials > 1")
+	trials := flag.Int("trials", 1, "Figure 5 channel realizations per cell through the bit-packed batch engine (trial 0 reproduces the single-run figure); -fig stats needs at least 2")
 	workers := flag.Int("workers", 0, "concurrent experiment runs (0 = GOMAXPROCS, 1 = serial); output is identical for every value")
-	decWorkersFlag := flag.Int("dec-workers", 1, "decoder GOB-row reconstruction goroutines per simulation (1 = serial); output is identical for every value")
+	decWorkersFlag := flag.Int("dec-workers", 1, "decoder GOB-row reconstruction goroutines per Fig 6 / content simulation (1 = serial); output is identical for every value")
 	cacheDir := flag.String("cache-dir", "", "bitstream cache spill directory (cross-process encode reuse)")
 	cacheMB := flag.Int("cache-mb", 0, "in-memory bitstream cache budget in MiB; with -cache-dir unset, 0 disables the cache")
 	flag.Parse()
 	decWorkers = *decWorkersFlag
+
+	if *trials < 1 {
+		return fmt.Errorf("-trials %d: need at least one trial", *trials)
+	}
+	if *analytic && *trials > 1 {
+		return fmt.Errorf("-analytic samples no channel trials; it does not combine with -trials %d", *trials)
+	}
+	switch *fig {
+	case "5", "5a", "5b", "5c", "5d", "headline", "devices", "all":
+	case "stats":
+		if *trials < 2 {
+			return fmt.Errorf("-fig stats reports the spread across channel trials: needs -trials >= 2, got %d", *trials)
+		}
+	case "6", "6a", "6b", "recovery", "content":
+		if *analytic || *trials > 1 {
+			return fmt.Errorf("-analytic and -trials apply to the Figure 5 views (5, 5a-5d, stats, headline, devices, all), not -fig %s", *fig)
+		}
+	default:
+		return fmt.Errorf("unknown figure %q", *fig)
+	}
 
 	if *cacheMB > 0 || *cacheDir != "" {
 		var err error
@@ -65,51 +85,54 @@ func run() error {
 	}
 
 	switch *fig {
-	case "stats":
-		return runStats(*frames, *plr, *seeds, *trials, *workers)
-	case "content":
-		return runContent(*frames, *plr, *workers)
-	case "all":
-		return runAll(*frames, *plr, *workers)
-	case "5", "5a", "5b", "5c", "5d":
-		return runFig5(*fig, *frames, *plr, *workers, *analytic)
 	case "6", "6a", "6b":
 		return runFig6(*fig, *frames, *workers)
-	case "headline":
-		return runHeadline(*frames, *plr, *workers)
-	case "devices":
-		return runDevices(*frames, *plr, *workers)
 	case "recovery":
 		return runRecovery(*frames, *workers)
-	default:
-		return fmt.Errorf("unknown figure %q", *fig)
+	case "content":
+		return runContent(*frames, *plr, *workers)
 	}
-}
 
-// runAll regenerates every experiment from one Fig5 run and one Fig6
-// run (the headline and device tables are derived views, not reruns).
-func runAll(frames int, plr float64, workers int) error {
-	rows, err := experiment.Fig5(experiment.Fig5Config{Frames: frames, PLR: plr, Workers: workers, DecoderWorkers: decWorkers, Cache: cache})
+	// Every other view renders the same Figure 5 rows.
+	fig5 := experiment.Fig5Config{Frames: *frames, PLR: *plr, Trials: *trials, Workers: *workers, Cache: cache}
+	if *analytic {
+		fig5.Engine = experiment.EngineAnalytic
+	}
+	rows, err := experiment.Fig5(fig5)
 	if err != nil {
 		return err
 	}
-	printFig5Panels(rows, plr)
-	for _, r := range rows {
-		if r.Scheme == "PBPAIR" {
-			fmt.Printf("calibrated Intra_Th for %s: %.3f\n", r.Sequence, r.IntraTh)
-		}
+	switch *fig {
+	case "stats":
+		printStats(rows, fig5)
+	case "headline":
+		printHeadline(rows)
+	case "devices":
+		printDevices(rows)
+	case "all":
+		return printAll(rows, fig5)
+	default:
+		printFig5(*fig, rows, fig5)
 	}
+	return nil
+}
+
+// printAll renders every Figure 5 view from one set of rows, then
+// regenerates Figure 6 and its recovery table (the headline and device
+// tables are derived views, not reruns).
+func printAll(rows []experiment.Fig5Row, fig5 experiment.Fig5Config) error {
+	printFig5("5", rows, fig5)
 	fmt.Println()
 	printHeadline(rows)
 	fmt.Println()
 	printDevices(rows)
 	fmt.Println()
 
-	fig6Frames := frames
+	fig6Frames := fig5.Frames
 	if fig6Frames > 50 {
 		fig6Frames = 50
 	}
-	cfg := experiment.Fig6Config{Frames: fig6Frames, Workers: workers, DecoderWorkers: decWorkers, Cache: cache}.WithDefaults()
+	cfg := experiment.Fig6Config{Frames: fig6Frames, Workers: fig5.Workers, DecoderWorkers: decWorkers, Cache: cache}.WithDefaults()
 	series, err := experiment.Fig6(cfg)
 	if err != nil {
 		return err
@@ -150,84 +173,37 @@ func runContent(frames int, plr float64, workers int) error {
 	return nil
 }
 
-// runStats is the multi-seed Figure 5: quality cells as mean ± stddev
-// over independent loss patterns. With -trials > 1 the same cells come
-// from one pass through the bit-packed batch engine instead of -seeds
-// full pipeline reruns, so thousands of realizations are affordable;
-// the table then also carries the 95% confidence interval.
-func runStats(frames int, plr float64, seeds, trials, workers int) error {
-	cfg := experiment.Fig5Config{Frames: frames, PLR: plr, Workers: workers, DecoderWorkers: decWorkers, Cache: cache}
-	if trials > 1 {
-		stats, err := experiment.Fig5Batch(cfg, trials)
-		if err != nil {
-			return err
-		}
-		tb := experiment.NewTable(
-			fmt.Sprintf("Figure 5 across %d channel trials (batch engine, mean ± stddev), PLR=%.0f%%", trials, plr*100),
-			"sequence", "scheme", "PSNR(dB)", "±CI95", "bad px", "±CI95", "size(KB)", "energy(J)")
-		for _, s := range stats {
-			tb.AddRow(s.Sequence, s.Scheme,
-				fmt.Sprintf("%.2f ± %.2f", s.PSNRMean, s.PSNRStd),
-				fmt.Sprintf("%.2f", s.PSNRCI95),
-				fmt.Sprintf("%.0f ± %.0f", s.BadPixMean, s.BadPixStd),
-				fmt.Sprintf("%.0f", s.BadPixCI95),
-				fmt.Sprintf("%.1f", s.FileKBMean),
-				fmt.Sprintf("%.3f", s.EnergyJMean))
-		}
-		fmt.Print(tb.String())
-		return nil
-	}
-	if seeds < 1 {
-		return fmt.Errorf("need at least one seed")
-	}
-	seedList := make([]uint64, seeds)
-	for i := range seedList {
-		seedList[i] = uint64(1000 + 37*i)
-	}
-	stats, err := experiment.Fig5Multi(cfg, seedList)
-	if err != nil {
-		return err
-	}
+// printStats is Figure 5 with error bars: quality cells as mean ±
+// stddev and 95% confidence interval over the -trials channel
+// realizations of the bit-packed batch engine.
+func printStats(rows []experiment.Fig5Row, fig5 experiment.Fig5Config) {
 	tb := experiment.NewTable(
-		fmt.Sprintf("Figure 5 across %d loss seeds (mean ± stddev), PLR=%.0f%%", seeds, plr*100),
-		"sequence", "scheme", "PSNR(dB)", "bad px", "size(KB)", "energy(J)")
-	for _, s := range stats {
-		tb.AddRow(s.Sequence, s.Scheme,
-			fmt.Sprintf("%.2f ± %.2f", s.PSNRMean, s.PSNRStd),
-			fmt.Sprintf("%.0f ± %.0f", s.BadPixMean, s.BadPixStd),
-			fmt.Sprintf("%.1f", s.FileKBMean),
-			fmt.Sprintf("%.3f", s.EnergyJMean))
+		fmt.Sprintf("Figure 5 across %d channel trials (batch engine, mean ± stddev), PLR=%.0f%%", fig5.Trials, fig5.PLR*100),
+		"sequence", "scheme", "PSNR(dB)", "±CI95", "bad px", "±CI95", "size(KB)", "energy(J)")
+	for _, r := range rows {
+		tb.AddRow(r.Sequence, r.Scheme,
+			fmt.Sprintf("%.2f ± %.2f", r.AvgPSNR, r.PSNRStd),
+			fmt.Sprintf("%.2f", r.PSNRCI95),
+			fmt.Sprintf("%.0f ± %.0f", r.BadPixels, r.BadPixStd),
+			fmt.Sprintf("%.0f", r.BadPixCI95),
+			fmt.Sprintf("%.1f", r.FileKB),
+			fmt.Sprintf("%.3f", r.EnergyJ))
 	}
 	fmt.Print(tb.String())
-	return nil
 }
 
-func runFig5(which string, frames int, plr float64, workers int, analytic bool) error {
-	cfg := experiment.Fig5Config{Frames: frames, PLR: plr, Workers: workers, DecoderWorkers: decWorkers, Cache: cache}
-	var rows []experiment.Fig5Row
-	var err error
-	if analytic {
-		rows, err = experiment.Fig5Analytic(cfg)
-	} else {
-		rows, err = experiment.Fig5(cfg)
+// printFig5 prints the requested Figure 5 panels ("5" for all four)
+// and the calibrated PBPAIR thresholds.
+func printFig5(which string, rows []experiment.Fig5Row, fig5 experiment.Fig5Config) {
+	if fig5.Engine == experiment.EngineAnalytic {
+		fmt.Printf("closed-form expectations (no channel simulation), i.i.d. loss %.0f%%\n", fig5.PLR*100)
 	}
-	if err != nil {
-		return err
-	}
-	if analytic {
-		fmt.Printf("closed-form expectations (no channel simulation), i.i.d. loss %.0f%%\n", plr*100)
-	}
-	printFig5Panel(which, rows, plr)
+	printFig5Panel(which, rows, fig5.PLR)
 	for _, r := range rows {
 		if r.Scheme == "PBPAIR" {
 			fmt.Printf("calibrated Intra_Th for %s: %.3f\n", r.Sequence, r.IntraTh)
 		}
 	}
-	return nil
-}
-
-func printFig5Panels(rows []experiment.Fig5Row, plr float64) {
-	printFig5Panel("5", rows, plr)
 }
 
 func printFig5Panel(which string, rows []experiment.Fig5Row, plr float64) {
@@ -239,7 +215,7 @@ func printFig5Panel(which string, rows []experiment.Fig5Row, plr float64) {
 		{"5a", fmt.Sprintf("Figure 5(a): average PSNR (dB), PLR=%.0f%%", plr*100),
 			func(r experiment.Fig5Row) string { return fmt.Sprintf("%.2f", r.AvgPSNR) }},
 		{"5b", fmt.Sprintf("Figure 5(b): bad pixels (total), PLR=%.0f%%", plr*100),
-			func(r experiment.Fig5Row) string { return fmt.Sprintf("%d", r.BadPixels) }},
+			func(r experiment.Fig5Row) string { return fmt.Sprintf("%.0f", r.BadPixels) }},
 		{"5c", "Figure 5(c): encoded file size (KB)",
 			func(r experiment.Fig5Row) string { return fmt.Sprintf("%.1f", r.FileKB) }},
 		{"5d", "Figure 5(d): encoding energy (J, iPAQ)",
@@ -315,15 +291,6 @@ func runFig6(which string, frames, workers int) error {
 	return nil
 }
 
-func runHeadline(frames int, plr float64, workers int) error {
-	rows, err := experiment.Fig5(experiment.Fig5Config{Frames: frames, PLR: plr, Workers: workers, DecoderWorkers: decWorkers, Cache: cache})
-	if err != nil {
-		return err
-	}
-	printHeadline(rows)
-	return nil
-}
-
 func printHeadline(rows []experiment.Fig5Row) {
 	savings := experiment.HeadlineSavings(rows)
 	tb := experiment.NewTable(
@@ -338,15 +305,6 @@ func printHeadline(rows []experiment.Fig5Row) {
 		tb.AddRow(name, fmt.Sprintf("%.1f%%", savings[name]*100))
 	}
 	fmt.Print(tb.String())
-}
-
-func runDevices(frames int, plr float64, workers int) error {
-	rows, err := experiment.Fig5(experiment.Fig5Config{Frames: frames, PLR: plr, Workers: workers, DecoderWorkers: decWorkers, Cache: cache})
-	if err != nil {
-		return err
-	}
-	printDevices(rows)
-	return nil
 }
 
 func printDevices(rows []experiment.Fig5Row) {

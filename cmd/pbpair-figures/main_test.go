@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -62,5 +63,38 @@ func TestGolden(t *testing.T) {
 				t.Errorf("pbpair-figures %v output differs from testdata/%s.golden\ngot:\n%s\nwant:\n%s", args, tc.name, got, want)
 			}
 		})
+	}
+}
+
+// TestRejectsFlagCombinations pins that flag values the command would
+// otherwise silently ignore or misread fail fast, with an error naming
+// the offending flag.
+func TestRejectsFlagCombinations(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-trials", "0"}, "-trials"},
+		{[]string{"-fig", "5", "-trials", "-3"}, "-trials"},
+		{[]string{"-fig", "5", "-analytic", "-trials", "4"}, "-analytic"},
+		{[]string{"-fig", "stats"}, "-trials"},
+		{[]string{"-fig", "stats", "-trials", "1"}, "-trials"},
+		{[]string{"-fig", "stats", "-analytic"}, "-trials"},
+		{[]string{"-fig", "stats", "-analytic", "-trials", "8"}, "-analytic"},
+		{[]string{"-fig", "6", "-trials", "4"}, "-trials"},
+		{[]string{"-fig", "content", "-analytic"}, "-analytic"},
+		{[]string{"-fig", "recovery", "-analytic"}, "-analytic"},
+	} {
+		cmd := exec.Command(bin, tc.args...)
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		if _, ok := err.(*exec.ExitError); !ok {
+			t.Errorf("pbpair-figures %v: want a non-zero exit, got %v", tc.args, err)
+			continue
+		}
+		if !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("pbpair-figures %v: error %q does not name %s", tc.args, stderr.String(), tc.want)
+		}
 	}
 }

@@ -45,7 +45,7 @@ func run() error {
 	rd := flag.Bool("rd", false, "emit rate-distortion curves (QP sweep) instead of the Intra_Th x PLR grid")
 	analytic := flag.Bool("analytic", false, "evaluate the grid with the closed-form engine (no channel simulation); unlocks the -loss axis and comma-separated -regime lists")
 	lossList := flag.String("loss", "", "analytic mode: comma-separated channel loss rates, a grid axis independent of -plr (default: the -plr list)")
-	trials := flag.Int("trials", 1, "channel realizations per grid point; > 1 routes the grid through the bit-packed batch engine and reports mean ± 95% CI (trial 0 is the legacy single-channel run)")
+	trials := flag.Int("trials", 1, "channel realizations per grid point through the bit-packed batch engine; > 1 reports mean ± 95% CI (trial 0 is the single-channel run)")
 	workers := flag.Int("workers", 0, "concurrent grid points (0 = GOMAXPROCS, 1 = serial); output is identical for every value")
 	cacheDir := flag.String("cache-dir", "", "bitstream cache spill directory (cross-process encode reuse)")
 	cacheMB := flag.Int("cache-mb", 0, "in-memory bitstream cache budget in MiB; with -cache-dir unset, 0 disables the cache")
@@ -74,6 +74,9 @@ func run() error {
 		return fmt.Errorf("unknown device %q", *device)
 	}
 
+	if *trials < 1 {
+		return fmt.Errorf("-trials %d: need at least one trial", *trials)
+	}
 	if *trials > 1 && (*analytic || *rd) {
 		return fmt.Errorf("-trials is a simulated-grid axis; it does not combine with -analytic or -rd")
 	}

@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -60,5 +61,29 @@ func TestGolden(t *testing.T) {
 				t.Errorf("pbpair-sweep %v output differs from testdata/%s.golden\ngot:\n%s\nwant:\n%s", args, tc.name, got, want)
 			}
 		})
+	}
+}
+
+// TestRejectsFlagCombinations pins that trial counts the command would
+// otherwise silently ignore or misread fail fast, with an error naming
+// -trials.
+func TestRejectsFlagCombinations(t *testing.T) {
+	for _, args := range [][]string{
+		{"-trials", "0"},
+		{"-trials", "-3"},
+		{"-analytic", "-trials", "4"},
+		{"-rd", "-trials", "2"},
+	} {
+		cmd := exec.Command(bin, args...)
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		if _, ok := err.(*exec.ExitError); !ok {
+			t.Errorf("pbpair-sweep %v: want a non-zero exit, got %v", args, err)
+			continue
+		}
+		if !strings.Contains(stderr.String(), "-trials") {
+			t.Errorf("pbpair-sweep %v: error %q does not name -trials", args, stderr.String())
+		}
 	}
 }

@@ -12,8 +12,8 @@
 //
 //   - Single-flight: concurrent GetOrCompute calls for the same key
 //     run the compute function once; the others block and share the
-//     result. This is what deduplicates the seed axis when Fig5Multi
-//     fans seeds out concurrently.
+//     result. This is what deduplicates the seed axis when Figure 5
+//     runs for several seeds share one cache concurrently.
 //   - Bounded: entries are evicted least-recently-used once the byte
 //     budget (sized by EncodedSequence.SizeBytes) is exceeded. An
 //     eviction only costs a recompute — results never depend on cache

@@ -416,72 +416,3 @@ func BuildAnalyticBank(cfg AnalyticBankConfig) (*analytic.Bank, error) {
 	}
 	return analytic.NewBank(cands, cfg.MarginDB)
 }
-
-// Fig5Analytic reproduces Figure 5's four panels from the analytic
-// engine: same calibration, same encodes, but expected metrics under
-// i.i.d. loss at cfg.PLR instead of one seeded channel draw. Rows come
-// back in the same order as Fig5, so the two tables diff cell by cell
-// (the agreement tests bound how far any cell may drift).
-func Fig5Analytic(cfg Fig5Config) ([]Fig5Row, error) {
-	cfg = cfg.WithDefaults()
-	regimes := []synth.Regime{synth.RegimeForeman, synth.RegimeAkiyo, synth.RegimeGarden}
-	ths, err := fig5Thresholds(cfg, regimes)
-	if err != nil {
-		return nil, err
-	}
-
-	type cell struct {
-		regime synth.Regime
-		scheme SchemeSpec
-		th     float64
-	}
-	var cells []cell
-	for si, regime := range regimes {
-		src := synth.Shared(regime)
-		gridRows, gridCols := mbGrid(src)
-		th := ths[si]
-		schemes := fig5Schemes(gridRows, gridCols, th, cfg.PLR)
-		for _, sc := range schemes {
-			c := cell{regime: regime, scheme: sc.spec}
-			if sc.intraTh {
-				c.th = th
-			}
-			cells = append(cells, c)
-		}
-	}
-
-	rows, err := parallel.Map(cfg.Workers, len(cells), func(i int) (Fig5Row, error) {
-		c := cells[i]
-		src := synth.Shared(c.regime)
-		seq, err := Encode(cfg.Cache, EncodeSpec{
-			Regime: c.regime, Frames: cfg.Frames,
-			QP: cfg.QP, SearchRange: cfg.SearchRange,
-			Scheme: c.scheme,
-		})
-		if err != nil {
-			return Fig5Row{}, err
-		}
-		res, err := Analyze(seq, src, AnalyticSpec{
-			Name:     fmt.Sprintf("fig5a/%s/%s", src.Name(), c.scheme.Key()),
-			LossRate: cfg.PLR,
-			Profile:  cfg.Profile,
-		})
-		if err != nil {
-			return Fig5Row{}, err
-		}
-		return Fig5Row{
-			Sequence:  src.Name(),
-			Scheme:    res.Scheme,
-			AvgPSNR:   res.ExpPSNR.Mean(),
-			BadPixels: int(res.ExpBadPixTotal + 0.5),
-			FileKB:    float64(res.TotalBytes) / 1024,
-			EnergyJ:   res.Joules,
-			IntraTh:   c.th,
-			Counters:  res.Counters,
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
-}

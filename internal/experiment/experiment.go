@@ -3,8 +3,8 @@
 // scenario runs, and provides the size-matching calibration and
 // recovery measurement the paper's Section 4 experiments need.
 //
-// The grid experiments (Sweep, Fig5, Fig6, ContentTable, RDCurve,
-// Fig5Multi) fan independent runs out across a bounded worker pool
+// The grid experiments (Sweep, Fig5, Fig6, ContentTable, RDCurve)
+// fan independent runs out across a bounded worker pool
 // (internal/parallel) controlled by each config's Workers knob;
 // results land in index-addressed slots in the serial iteration order,
 // so every table, trace and CSV is byte-identical for any worker

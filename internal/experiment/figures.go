@@ -18,9 +18,24 @@ import (
 // and 50 frames (Figure 6); benchmarks shrink them to keep runtimes
 // sane while preserving every qualitative relationship.
 //
-// Each experiment is phrased as a Plan — encode jobs deduplicated by
-// content, then the simulation grid against the shared bitstreams —
-// so loss-independent axes never re-encode (see pipeline.go).
+// Every experiment splits into an encode phase and a simulate phase
+// (see pipeline.go), so loss-independent axes never re-encode: Fig5
+// and Sweep evaluate each encode once through the batch or analytic
+// engine, Fig6 through a Plan of scalar simulations against the
+// shared bitstreams.
+
+// Engine selects how an experiment evaluates the lossy channel.
+type Engine int
+
+const (
+	// EngineMonteCarlo samples Trials independent i.i.d. loss
+	// realizations per cell through the bit-packed batch engine
+	// (SimBatch). It is the zero value.
+	EngineMonteCarlo Engine = iota
+	// EngineAnalytic computes closed-form expectations under i.i.d.
+	// loss (Analyze); nothing is sampled.
+	EngineAnalytic
+)
 
 // Fig5Config parameterises the Figure 5 reproduction.
 type Fig5Config struct {
@@ -31,16 +46,19 @@ type Fig5Config struct {
 	SearchRange int     // motion search range (default 15; benches shrink it)
 	Seed        uint64  // loss-pattern seed
 	Profile     energy.Profile
+	// Engine selects the channel evaluation of every cell.
+	Engine Engine
+	// Trials is the number of Monte-Carlo channel realizations per
+	// cell (0 means 1). Lane 0 is the single-channel run seeded
+	// Seed + regime, so the means converge on — and at one trial
+	// equal — that run. The analytic engine samples nothing and
+	// accepts only one.
+	Trials int
 	// Workers bounds the experiment fan-out: the three per-sequence
-	// calibrations run concurrently, then all distinct encodes, then
-	// all (sequence, scheme) cells. <= 0 selects
-	// parallel.DefaultWorkers, 1 runs serially; the result is identical
-	// for every value.
+	// calibrations run concurrently, then all (sequence, scheme)
+	// cells. <= 0 selects parallel.DefaultWorkers, 1 runs serially;
+	// the result is identical for every value.
 	Workers int
-	// DecoderWorkers sets the per-frame GOB-row reconstruction
-	// goroutines of every simulation's decoder (<= 1 decodes
-	// serially). Output is bit-identical for every value.
-	DecoderWorkers int
 	// Cache, when non-nil, memoizes encodes (calibration probes
 	// included) by content fingerprint, sharing them across seeds and
 	// repeated calls. Results are identical with or without it.
@@ -70,15 +88,21 @@ func (c Fig5Config) WithDefaults() Fig5Config {
 	if c.Profile.Name == "" {
 		c.Profile = energy.IPAQ
 	}
+	if c.Trials == 0 {
+		c.Trials = 1
+	}
 	return c
 }
 
 // Fig5Row is one (sequence, scheme) cell of Figure 5's four panels.
+// The quality metrics are means over the cell's channel trials (the
+// analytic engine's expectations); the spread fields are zero at one
+// trial and under the analytic engine.
 type Fig5Row struct {
 	Sequence  string
 	Scheme    string
 	AvgPSNR   float64 // panel (a)
-	BadPixels int     // panel (b)
+	BadPixels float64 // panel (b): total over the sequence
 	FileKB    float64 // panel (c)
 	EnergyJ   float64 // panel (d)
 	IntraTh   float64 // PBPAIR's calibrated threshold (0 for others)
@@ -86,6 +110,10 @@ type Fig5Row struct {
 	// re-priced under another device profile (the iPAQ/Zaurus
 	// comparison of §4.1).
 	Counters energy.Counters
+
+	PSNRStd, PSNRCI95     float64 // sample std dev and 95% CI half-width of AvgPSNR
+	BadPixStd, BadPixCI95 float64 // the same for BadPixels
+	Trials                int     // channel realizations averaged (0 for the analytic engine)
 }
 
 // HeadlineSavings summarises the paper's headline result from Fig5
@@ -134,7 +162,7 @@ func mbGrid(src synth.Source) (rows, cols int) {
 
 // probeBytes encodes ProbeFrames frames loss-free and returns the
 // total size — the calibration probe. Probes go through the cache,
-// so a bisection repeated across seeds (Fig5Multi) or processes (the
+// so a bisection repeated across seeds, engines or processes (the
 // cmd tools with a spill dir) encodes each probe once.
 func probeBytes(cache *bitcache.Store, spec EncodeSpec) (int, error) {
 	seq, err := Encode(cache, spec)
@@ -148,9 +176,7 @@ func probeBytes(cache *bitcache.Store, spec EncodeSpec) (int, error) {
 // sequence, bisected so PBPAIR's probe size matches PGOP-3's (the
 // paper's size-matching rule). Each bisection is inherently sequential
 // (every probe depends on the previous bracket), but the sequences are
-// independent, and every probe is a cacheable loss-free encode. Shared
-// by the Monte-Carlo (Fig5) and analytic (Fig5Analytic) backends, so
-// the two tables compare the same operating points.
+// independent, and every probe is a cacheable loss-free encode.
 func fig5Thresholds(cfg Fig5Config, regimes []synth.Regime) ([]float64, error) {
 	probeSpec := func(regime synth.Regime, scheme SchemeSpec) EncodeSpec {
 		return EncodeSpec{
@@ -196,71 +222,89 @@ func fig5Schemes(gridRows, gridCols int, th, plr float64) []fig5Scheme {
 // encoded size and encoding energy. PBPAIR's Intra_Th is calibrated to
 // match PGOP-3's encoded size, as in the paper ("We choose Intra_Th
 // that gives similar compression ratio with PGOP-3, GOP-3, and
-// AIR-24").
+// AIR-24"). Every engine shares the calibration and the encodes, so
+// the Monte-Carlo and analytic tables compare the same operating
+// points and differ only in the quality columns.
+//
+// Cells fan out across cfg.Workers goroutines (each cell's batch
+// engine runs serially inside its worker); rows come back in the
+// serial iteration order (sequence outer, scheme inner) for every
+// worker count.
 func Fig5(cfg Fig5Config) ([]Fig5Row, error) {
 	cfg = cfg.WithDefaults()
+	if cfg.Trials < 1 {
+		return nil, fmt.Errorf("experiment: Fig5 trials %d negative", cfg.Trials)
+	}
+	if cfg.Engine != EngineMonteCarlo && cfg.Engine != EngineAnalytic {
+		return nil, fmt.Errorf("experiment: Fig5 engine %d unknown", cfg.Engine)
+	}
+	if cfg.Engine == EngineAnalytic && cfg.Trials > 1 {
+		return nil, fmt.Errorf("experiment: Fig5 analytic engine samples no trials (got %d)", cfg.Trials)
+	}
 	regimes := []synth.Regime{synth.RegimeForeman, synth.RegimeAkiyo, synth.RegimeGarden}
 	ths, err := fig5Thresholds(cfg, regimes)
 	if err != nil {
 		return nil, err
 	}
 
-	// Phases 1+2 — one encode per (sequence, scheme), then the
-	// simulation grid, flattened in the serial iteration order
-	// (sequence outer, scheme inner) so the returned rows are
-	// identical for every worker count.
-	plan := NewPlan(cfg.Workers, cfg.Cache)
 	type cell struct {
-		sequence string
-		th       float64 // reported threshold (PBPAIR only)
+		regime synth.Regime
+		scheme SchemeSpec
+		th     float64 // reported threshold (PBPAIR only)
 	}
 	var cells []cell
 	for si, regime := range regimes {
-		src := synth.Shared(regime)
-		gridRows, gridCols := mbGrid(src)
-		th := ths[si]
-		schemes := fig5Schemes(gridRows, gridCols, th, cfg.PLR)
-		for _, sc := range schemes {
-			enc := plan.Encode(EncodeSpec{
-				Regime: regime, Frames: cfg.Frames,
-				QP: cfg.QP, SearchRange: cfg.SearchRange,
-				Scheme: sc.spec,
-			})
-			channel, err := network.NewUniformLoss(cfg.PLR, cfg.Seed+uint64(regime))
-			if err != nil {
-				return nil, err
-			}
-			plan.Simulate(enc, SimSpec{
-				Name:           fmt.Sprintf("fig5/%s/%s", src.Name(), sc.spec.Key()),
-				Channel:        channel,
-				Profile:        cfg.Profile,
-				DecoderWorkers: cfg.DecoderWorkers,
-			})
-			c := cell{sequence: src.Name()}
+		gridRows, gridCols := mbGrid(synth.Shared(regime))
+		for _, sc := range fig5Schemes(gridRows, gridCols, ths[si], cfg.PLR) {
+			c := cell{regime: regime, scheme: sc.spec}
 			if sc.intraTh {
-				c.th = th
+				c.th = ths[si]
 			}
 			cells = append(cells, c)
 		}
 	}
-	results, err := plan.Run()
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Fig5Row, 0, len(results))
-	for i, res := range results {
-		rows = append(rows, Fig5Row{
-			Sequence:  cells[i].sequence,
-			Scheme:    res.Scheme,
-			AvgPSNR:   res.PSNR.Mean(),
-			BadPixels: res.TotalBadPix,
-			FileKB:    float64(res.TotalBytes) / 1024,
-			EnergyJ:   res.Joules,
-			IntraTh:   cells[i].th,
-			Counters:  res.Counters,
+	return parallel.Map(cfg.Workers, len(cells), func(i int) (Fig5Row, error) {
+		c := cells[i]
+		src := synth.Shared(c.regime)
+		seq, err := Encode(cfg.Cache, EncodeSpec{
+			Regime: c.regime, Frames: cfg.Frames,
+			QP: cfg.QP, SearchRange: cfg.SearchRange,
+			Scheme: c.scheme,
 		})
-	}
-	return rows, nil
+		if err != nil {
+			return Fig5Row{}, err
+		}
+		// Size and energy are loss-independent: the encoder never sees
+		// the channel, so they come from the encode for every engine.
+		row := Fig5Row{
+			Sequence: src.Name(), Scheme: seq.Scheme,
+			FileKB:   float64(seq.TotalBytes) / 1024,
+			EnergyJ:  cfg.Profile.Joules(seq.Counters),
+			IntraTh:  c.th,
+			Counters: seq.Counters,
+		}
+		name := fmt.Sprintf("fig5/%s/%s", src.Name(), c.scheme.Key())
+		if cfg.Engine == EngineAnalytic {
+			res, err := Analyze(seq, src, AnalyticSpec{Name: name, LossRate: cfg.PLR, Profile: cfg.Profile})
+			if err != nil {
+				return Fig5Row{}, err
+			}
+			row.AvgPSNR = res.ExpPSNR.Mean()
+			// Rounded half up to whole pixels, as the analytic table has
+			// always printed it.
+			row.BadPixels = math.Floor(res.ExpBadPixTotal + 0.5)
+			return row, nil
+		}
+		mtr, err := SimBatch(seq, src, SimSpec{Name: name, Profile: cfg.Profile},
+			BatchSpec{Trials: cfg.Trials, Seed: cfg.Seed + uint64(c.regime), LossRate: cfg.PLR, Workers: 1})
+		if err != nil {
+			return Fig5Row{}, err
+		}
+		row.AvgPSNR, row.PSNRStd, row.PSNRCI95 = mtr.PSNR.Mean, mtr.PSNR.Std, mtr.PSNR.CI95
+		row.BadPixels, row.BadPixStd, row.BadPixCI95 = mtr.BadPixels.Mean, mtr.BadPixels.Std, mtr.BadPixels.CI95
+		row.Trials = cfg.Trials
+		return row, nil
+	})
 }
 
 // Fig6Config parameterises the Figure 6 reproduction.
@@ -405,21 +449,16 @@ type SweepConfig struct {
 	// slice — and any CSV rendered from it — is byte-identical for
 	// every worker count.
 	Workers int
-	// DecoderWorkers sets the per-frame GOB-row reconstruction
-	// goroutines of every simulation's decoder (<= 1 decodes
-	// serially). Output is bit-identical for every value.
-	DecoderWorkers int
 	// Cache, when non-nil, memoizes encodes by content fingerprint.
 	// PBPAIR's planner depends on both Intra_Th and PLR, so every grid
 	// cell is a distinct encode within one sweep; the cache pays off
 	// across repeated sweeps and, with a spill dir, across processes.
 	Cache *bitcache.Store
-	// Trials, when > 1, evaluates every grid point against that many
-	// independent loss realizations through the bit-packed batch
-	// engine (SimBatch) instead of one sampled channel, filling the
-	// points' CI95 fields. Lane 0 uses the channel seed of the
-	// single-trial sweep, so the point means converge on — and at
-	// Trials <= 1 exactly equal — the legacy single-seed sweep.
+	// Trials is the number of independent loss realizations every
+	// grid point is evaluated against through the bit-packed batch
+	// engine (SimBatch); 0 means 1. More than one fills the points'
+	// CI95 fields. Lane 0 is the single channel seeded Seed, so the
+	// point means converge on — and at one trial equal — that run.
 	Trials int
 }
 
@@ -446,6 +485,9 @@ func (c SweepConfig) WithDefaults() SweepConfig {
 	if c.Profile.Name == "" {
 		c.Profile = energy.IPAQ
 	}
+	if c.Trials == 0 {
+		c.Trials = 1
+	}
 	return c
 }
 
@@ -467,70 +509,16 @@ type SweepPoint struct {
 	BadPixelsCI95    float64
 }
 
-// Sweep runs the full Intra_Th × PLR grid. The flattened job order
-// (PLR outer, Intra_Th inner) and the returned slice order match the
-// serial nested loops exactly.
+// Sweep runs the full Intra_Th × PLR grid: every grid point is one
+// encode and one SimBatch pass over cfg.Trials lanes. Grid points fan
+// out across cfg.Workers goroutines (each point's batch engine runs
+// serially inside its worker); the returned slice follows the serial
+// nested loops (PLR outer, Intra_Th inner) for every worker count.
 func Sweep(cfg SweepConfig) ([]SweepPoint, error) {
 	cfg = cfg.WithDefaults()
-	if cfg.Trials > 1 {
-		return sweepBatch(cfg)
+	if cfg.Trials < 1 {
+		return nil, fmt.Errorf("experiment: Sweep trials %d negative", cfg.Trials)
 	}
-	src := synth.Shared(cfg.Regime)
-	gridRows, gridCols := mbGrid(src)
-
-	plan := NewPlan(cfg.Workers, cfg.Cache)
-	type point struct{ th, plr float64 }
-	var points []point
-	for _, plr := range cfg.PLRs {
-		for _, th := range cfg.IntraThs {
-			enc := plan.Encode(EncodeSpec{
-				Regime: cfg.Regime, Frames: cfg.Frames,
-				QP: cfg.QP, SearchRange: cfg.SearchRange,
-				Scheme: SchemePBPAIR(core.Config{Rows: gridRows, Cols: gridCols, IntraTh: th, PLR: plr}),
-			})
-			var channel network.Channel
-			if plr > 0 {
-				uniform, err := network.NewUniformLoss(plr, cfg.Seed)
-				if err != nil {
-					return nil, err
-				}
-				channel = uniform
-			}
-			plan.Simulate(enc, SimSpec{
-				Name:           fmt.Sprintf("sweep/th%.2f/plr%.2f", th, plr),
-				Channel:        channel,
-				Profile:        cfg.Profile,
-				DecoderWorkers: cfg.DecoderWorkers,
-			})
-			points = append(points, point{th: th, plr: plr})
-		}
-	}
-	results, err := plan.Run()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]SweepPoint, 0, len(results))
-	for i, res := range results {
-		out = append(out, SweepPoint{
-			IntraTh:          points[i].th,
-			PLR:              points[i].plr,
-			IntraMBsPerFrame: res.IntraMBs.Mean(),
-			FileKB:           float64(res.TotalBytes) / 1024,
-			EnergyJ:          res.Joules,
-			AvgPSNR:          res.PSNR.Mean(),
-			BadPixels:        res.TotalBadPix,
-		})
-	}
-	return out, nil
-}
-
-// sweepBatch is the multi-trial backend of Sweep: every grid point is
-// one SimBatch pass over cfg.Trials lanes. Grid points fan out across
-// cfg.Workers goroutines (each point's batch engine runs serially
-// inside its worker); the flattened order matches Sweep's serial
-// nested loops, so the returned slice is identical for every worker
-// count.
-func sweepBatch(cfg SweepConfig) ([]SweepPoint, error) {
 	src := synth.Shared(cfg.Regime)
 	gridRows, gridCols := mbGrid(src)
 
@@ -554,17 +542,18 @@ func sweepBatch(cfg SweepConfig) ([]SweepPoint, error) {
 		mtr, err := SimBatch(seq, src, SimSpec{
 			Name:    fmt.Sprintf("sweep/th%.2f/plr%.2f", pt.th, pt.plr),
 			Profile: cfg.Profile,
-		}, BatchSpec{
-			Trials: cfg.Trials, Seed: cfg.Seed, LossRate: pt.plr,
-			Workers: 1, Lane0Result: true,
-		})
+		}, BatchSpec{Trials: cfg.Trials, Seed: cfg.Seed, LossRate: pt.plr, Workers: 1})
 		if err != nil {
 			return SweepPoint{}, err
+		}
+		intraMBs := 0
+		for f := range seq.Frames {
+			intraMBs += seq.Frames[f].IntraMBs
 		}
 		return SweepPoint{
 			IntraTh:          pt.th,
 			PLR:              pt.plr,
-			IntraMBsPerFrame: mtr.Lane0.IntraMBs.Mean(),
+			IntraMBsPerFrame: float64(intraMBs) / float64(len(seq.Frames)),
 			FileKB:           float64(mtr.TotalBytes) / 1024,
 			EnergyJ:          mtr.Joules,
 			AvgPSNR:          mtr.PSNR.Mean,

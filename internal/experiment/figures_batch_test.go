@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -9,42 +10,121 @@ import (
 )
 
 // TestFig5BatchSingleTrialMatchesFig5 pins the figure-level trial-0
-// contract: Fig5Batch at trials=1 reproduces the scalar Fig5 rows
-// exactly — same calibration, same encodes, and lane 0's channel is
-// the Fig5 channel, so every reported number must be identical.
+// contract: Fig5 at one trial reproduces the scalar Plan+Simulate
+// oracle exactly — same calibration, same encodes, and lane 0's
+// channel is the oracle's channel, so every field must be identical,
+// the work counters included.
 func TestFig5BatchSingleTrialMatchesFig5(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Fig5 grid is slow; skipped in -short mode")
 	}
 	cfg := Fig5Config{Frames: 10, ProbeFrames: 8, SearchRange: 7, PLR: 0.15, Seed: 404}
-	rows, err := Fig5(cfg)
+	want, err := fig5Scalar(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := Fig5Batch(cfg, 1)
+	got, err := Fig5(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stats) != len(rows) {
-		t.Fatalf("%d batch cells vs %d scalar rows", len(stats), len(rows))
+	if len(got) != len(want) {
+		t.Fatalf("%d batch cells vs %d scalar rows", len(got), len(want))
 	}
-	for i, r := range rows {
-		s := stats[i]
-		if s.Sequence != r.Sequence || s.Scheme != r.Scheme {
-			t.Fatalf("cell %d: %s/%s vs scalar %s/%s", i, s.Sequence, s.Scheme, r.Sequence, r.Scheme)
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("cell %d:\nbatch  %+v\nscalar %+v", i, got[i], want[i])
 		}
-		if s.PSNRMean != r.AvgPSNR {
-			t.Errorf("%s/%s: PSNR %v vs scalar %v", s.Sequence, s.Scheme, s.PSNRMean, r.AvgPSNR)
+	}
+}
+
+// TestFig5AnalyticSharesMonteCarloCells pins that the analytic engine
+// evaluates the same operating points as the Monte-Carlo one: same
+// cells in the same order, same calibrated thresholds, and identical
+// loss-independent columns. Only the quality columns may differ.
+func TestFig5AnalyticSharesMonteCarloCells(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two Fig5 grids are slow; skipped in -short mode")
+	}
+	// One cache across both runs: the analytic run re-requests every
+	// probe and encode the Monte-Carlo run made.
+	cfg := Fig5Config{Frames: 8, ProbeFrames: 8, SearchRange: 7, PLR: 0.15, Cache: newCache(t)}
+	mc, err := Fig5(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Engine = EngineAnalytic
+	an, err := Fig5(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := cfg.Cache.Stats(); st.Misses == 0 || st.Hits < st.Misses {
+		t.Errorf("analytic run did not reuse the Monte-Carlo encodes: %+v", st)
+	}
+	if len(an) != 15 || len(an) != len(mc) {
+		t.Fatalf("%d analytic cells vs %d Monte-Carlo, want 15", len(an), len(mc))
+	}
+	for i, a := range an {
+		m := mc[i]
+		if a.Sequence != m.Sequence || a.Scheme != m.Scheme {
+			t.Fatalf("cell %d: analytic %s/%s vs Monte-Carlo %s/%s", i, a.Sequence, a.Scheme, m.Sequence, m.Scheme)
 		}
-		if s.BadPixMean != float64(r.BadPixels) {
-			t.Errorf("%s/%s: bad pixels %v vs scalar %d", s.Sequence, s.Scheme, s.BadPixMean, r.BadPixels)
+		if a.IntraTh != m.IntraTh || a.FileKB != m.FileKB || a.EnergyJ != m.EnergyJ || a.Counters != m.Counters {
+			t.Errorf("%s/%s: loss-independent columns diverge: analytic %+v, Monte-Carlo %+v", a.Sequence, a.Scheme, a, m)
 		}
-		if s.FileKBMean != r.FileKB || s.EnergyJMean != r.EnergyJ {
-			t.Errorf("%s/%s: size/energy diverge from scalar", s.Sequence, s.Scheme)
+		if a.Trials != 0 || a.PSNRStd != 0 || a.BadPixStd != 0 {
+			t.Errorf("%s/%s: analytic cell reports sampled spread: %+v", a.Sequence, a.Scheme, a)
 		}
-		if s.Seeds != 1 || s.PSNRCI95 != 0 || s.BadPixCI95 != 0 {
-			t.Errorf("%s/%s: single-trial cell reports spread: %+v", s.Sequence, s.Scheme, s)
+		if a.AvgPSNR <= 0 || a.BadPixels != math.Floor(a.BadPixels) {
+			t.Errorf("%s/%s: analytic quality %v dB, %v bad pixels", a.Sequence, a.Scheme, a.AvgPSNR, a.BadPixels)
 		}
+	}
+}
+
+// TestFig5Validation rejects trial counts no engine can honour before
+// any calibration runs.
+func TestFig5Validation(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Fig5Config
+	}{
+		{"negative trials", Fig5Config{Trials: -1}},
+		{"analytic with trials", Fig5Config{Engine: EngineAnalytic, Trials: 2}},
+		{"unknown engine", Fig5Config{Engine: Engine(7)}},
+	} {
+		if _, err := Fig5(tc.cfg); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
+// TestSweepValidation rejects a negative trial count.
+func TestSweepValidation(t *testing.T) {
+	if _, err := Sweep(SweepConfig{Trials: -3}); err == nil {
+		t.Fatal("negative trials accepted")
+	}
+}
+
+// TestSweepSingleTrialMatchesScalar pins the sweep's trial-0 contract:
+// at one trial the batch sweep renders the scalar Plan+Simulate
+// oracle's CSV byte for byte, lossy and loss-free points alike.
+func TestSweepSingleTrialMatchesScalar(t *testing.T) {
+	cfg := SweepConfig{
+		Frames: 6, SearchRange: 4, Regime: synth.RegimeForeman,
+		IntraThs: []float64{0, 0.4, 0.9}, PLRs: []float64{0, 0.1, 0.3}, Seed: 9,
+	}
+	want, err := sweepScalar(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Sweep(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if SweepCSV(got) != SweepCSV(want) {
+		t.Fatalf("batch sweep CSV differs from scalar oracle\nbatch:\n%s\nscalar:\n%s", SweepCSV(got), SweepCSV(want))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("batch sweep points differ from scalar oracle:\n%+v\n%+v", got, want)
 	}
 }
 

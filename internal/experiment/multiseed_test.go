@@ -29,54 +29,48 @@ func TestSplitKey(t *testing.T) {
 	}
 }
 
-func TestFig5MultiValidation(t *testing.T) {
-	if _, err := Fig5Multi(Fig5Config{}, nil); err == nil {
-		t.Fatal("empty seeds accepted")
-	}
-}
-
-// TestFig5MultiSmall runs the multi-seed pipeline at tiny scale and
+// TestFig5MultiSmall runs the multi-trial Figure 5 at tiny scale and
 // checks the aggregation invariants: loss-independent columns have no
 // spread, quality columns usually do, and PBPAIR's win over NO is
 // separated beyond noise.
 func TestFig5MultiSmall(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-seed Fig5 is slow; skipped in -short mode")
+		t.Skip("multi-trial Fig5 is slow; skipped in -short mode")
 	}
-	cfg := Fig5Config{Frames: 16, ProbeFrames: 8, SearchRange: 7, PLR: 0.12}
-	stats, err := Fig5Multi(cfg, []uint64{1, 2, 3, 4, 5})
+	cfg := Fig5Config{Frames: 16, ProbeFrames: 8, SearchRange: 7, PLR: 0.12, Trials: 64}
+	rows, err := Fig5(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stats) != 15 { // 3 sequences x 5 schemes
-		t.Fatalf("got %d cells, want 15", len(stats))
+	if len(rows) != 15 { // 3 sequences x 5 schemes
+		t.Fatalf("got %d cells, want 15", len(rows))
 	}
 	anyPSNRSpread := false
-	for _, s := range stats {
-		if s.Seeds != 5 {
-			t.Fatalf("%s/%s aggregated %d seeds", s.Sequence, s.Scheme, s.Seeds)
+	for _, r := range rows {
+		if r.Trials != 64 {
+			t.Fatalf("%s/%s aggregated %d trials", r.Sequence, r.Scheme, r.Trials)
 		}
-		if s.PSNRStd > 0 {
+		if r.PSNRStd > 0 {
 			anyPSNRSpread = true
 		}
-		if s.FileKBMean <= 0 || s.EnergyJMean <= 0 {
-			t.Fatalf("%s/%s: non-positive size/energy", s.Sequence, s.Scheme)
+		if r.FileKB <= 0 || r.EnergyJ <= 0 {
+			t.Fatalf("%s/%s: non-positive size/energy", r.Sequence, r.Scheme)
 		}
 	}
 	if !anyPSNRSpread {
-		t.Fatal("no PSNR spread across seeds; loss seeding broken")
+		t.Fatal("no PSNR spread across trials; loss seeding broken")
 	}
 
-	// PBPAIR must beat NO beyond the seed noise on the active foreman
+	// PBPAIR must beat NO beyond the trial noise on the active foreman
 	// content (the weakest form of the paper's Figure 5 claim).
-	ok, err := SeparationVerdict(stats, "foreman", "PBPAIR", "NO")
+	ok, err := SeparationVerdict(rows, "foreman", "PBPAIR", "NO")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ok {
-		for _, s := range stats {
-			if s.Sequence == "foreman" {
-				t.Logf("%s: %.2f ± %.2f dB", s.Scheme, s.PSNRMean, s.PSNRStd)
+		for _, r := range rows {
+			if r.Sequence == "foreman" {
+				t.Logf("%s: %.2f ± %.2f dB", r.Scheme, r.AvgPSNR, r.PSNRStd)
 			}
 		}
 		t.Fatal("PBPAIR vs NO not separated beyond noise")

@@ -253,21 +253,21 @@ func TestRDCurveSchemeMatchesMakePlanner(t *testing.T) {
 	}
 }
 
-// TestFig5MultiSeedIndependenceCheck exercises satellite invariant:
-// Fig5Multi enforces identical per-seed size/energy, and a healthy run
-// passes it with the cache both off and shared.
+// TestFig5MultiSeedIndependenceCheck exercises the multi-seed
+// oracle's invariant: it enforces identical per-seed size/energy, and
+// a healthy run passes it with the cache shared across seeds.
 func TestFig5MultiSeedIndependenceCheck(t *testing.T) {
 	cfg := Fig5Config{Frames: 6, ProbeFrames: 6, SearchRange: 7, Workers: 2, Cache: newCache(t)}
-	stats, err := Fig5Multi(cfg, []uint64{3, 5, 9})
+	rows, err := fig5MultiSeed(cfg, []uint64{3, 5, 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stats) == 0 {
-		t.Fatal("no stats")
+	if len(rows) == 0 {
+		t.Fatal("no rows")
 	}
-	for _, s := range stats {
-		if s.Seeds != 3 {
-			t.Fatalf("%s/%s aggregated %d seeds, want 3", s.Sequence, s.Scheme, s.Seeds)
+	for _, r := range rows {
+		if r.Trials != 3 {
+			t.Fatalf("%s/%s aggregated %d seeds, want 3", r.Sequence, r.Scheme, r.Trials)
 		}
 	}
 	// With a shared cache the three seeds must coalesce onto one encode
