@@ -29,26 +29,29 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// TestGolden runs the CSV sweep at tiny scale over a 2×2 grid and
-// compares stdout byte for byte with testdata/<name>.golden, once per
-// engine: the single-trial Monte-Carlo sweep, the multi-trial one and
-// the analytic grid. Regenerate one with
+// TestGolden runs the command at tiny scale and compares stdout byte
+// for byte with testdata/<name>.golden: the CSV sweep over a 2×2 grid
+// once per engine (the single-trial Monte-Carlo sweep, the multi-trial
+// one and the analytic grid), and the rate-distortion table.
+// Regenerate one with
 //
-//	go run ./cmd/pbpair-sweep -csv -frames 4 -intra-th 0,0.9 -plr 0,0.2 <args> > cmd/pbpair-sweep/testdata/<name>.golden
+//	go run ./cmd/pbpair-sweep -frames <frames> <args> > cmd/pbpair-sweep/testdata/<name>.golden
 //
 // only when the change to the output is intended.
 func TestGolden(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		args []string
+		name   string
+		frames int
+		args   []string
 	}{
-		{"trials1", []string{"-trials", "1"}},
-		{"trials4", []string{"-trials", "4"}},
-		{"analytic", []string{"-analytic"}},
+		{"trials1", 4, []string{"-csv", "-intra-th", "0,0.9", "-plr", "0,0.2", "-trials", "1"}},
+		{"trials4", 4, []string{"-csv", "-intra-th", "0,0.9", "-plr", "0,0.2", "-trials", "4"}},
+		{"analytic", 4, []string{"-csv", "-intra-th", "0,0.9", "-plr", "0,0.2", "-analytic"}},
+		{"rd", 4, []string{"-rd"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			args := append([]string{"-csv", "-frames", "4", "-intra-th", "0,0.9", "-plr", "0,0.2"}, tc.args...)
+			args := append([]string{"-frames", fmt.Sprint(tc.frames)}, tc.args...)
 			got, err := exec.Command(bin, args...).Output()
 			if err != nil {
 				t.Fatalf("pbpair-sweep %v: %v", args, err)
