@@ -106,9 +106,10 @@ soak-smoke:
 	GOMAXPROCS=2 $(GO) test -race -run TestChurnSoak -count=1 ./internal/serve/
 
 # Documentation gate: every relative link in the repo's markdown must
-# resolve, and the operator guide must track the code — pbpair-mdlint
+# resolve, and the docs must track the code — pbpair-mdlint
 # cross-checks OPERATIONS.md against the live pbpair-serve/pbpair-load
-# flag sets and the serve-layer metric names.
+# flag sets and the serve-layer metric names, and every -flag on a
+# documented cmd/ tool command line against that tool's flag set.
 docs-lint:
 	$(GO) run ./cmd/pbpair-mdlint .
 

@@ -481,22 +481,20 @@ func BenchmarkAblationSearch(b *testing.B) {
 // mechanism behind every Figure 6 trace).
 func BenchmarkPropagation(b *testing.B) {
 	cases := []struct {
-		name string
-		mk   func() (codec.ModePlanner, error)
+		name   string
+		scheme experiment.SchemeSpec
 	}{
-		{"NO", func() (codec.ModePlanner, error) { return resilience.NewNone(), nil }},
-		{"GOP-8", func() (codec.ModePlanner, error) { return resilience.NewGOP(8) }},
-		{"AIR-10", func() (codec.ModePlanner, error) { return resilience.NewAIR(10) }},
-		{"PGOP-1", func() (codec.ModePlanner, error) { return resilience.NewPGOP(1, 11) }},
-		{"PBPAIR", func() (codec.ModePlanner, error) {
-			return core.New(core.Config{Rows: 9, Cols: 11, IntraTh: 0.9, PLR: 0.1})
-		}},
+		{"NO", experiment.SchemeNO()},
+		{"GOP-8", experiment.SchemeGOP(8)},
+		{"AIR-10", experiment.SchemeAIR(10)},
+		{"PGOP-1", experiment.SchemePGOP(1, 11)},
+		{"PBPAIR", experiment.SchemePBPAIR(core.Config{Rows: 9, Cols: 11, IntraTh: 0.9, PLR: 0.1})},
 	}
 	results := map[string]*experiment.PropagationResult{}
 	for i := 0; i < b.N; i++ {
 		for _, tc := range cases {
 			res, err := experiment.Propagation(experiment.PropagationConfig{
-				Frames: 30, Event: 8, SearchRange: 7, MakePlanner: tc.mk,
+				Frames: 30, Event: 8, SearchRange: 7, Scheme: tc.scheme,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -527,15 +525,13 @@ func BenchmarkRDCurves(b *testing.B) {
 	var gap float64
 	var noCurve, pbCurve []experiment.RDPoint
 	for i := 0; i < b.N; i++ {
-		cfg.MakePlanner = func() (codec.ModePlanner, error) { return resilience.NewNone(), nil }
+		cfg.Scheme = experiment.SchemeNO()
 		var err error
 		noCurve, err = experiment.RDCurve(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		cfg.MakePlanner = func() (codec.ModePlanner, error) {
-			return core.New(core.Config{Rows: 9, Cols: 11, IntraTh: 0.9, PLR: 0.1})
-		}
+		cfg.Scheme = experiment.SchemePBPAIR(core.Config{Rows: 9, Cols: 11, IntraTh: 0.9, PLR: 0.1})
 		pbCurve, err = experiment.RDCurve(cfg)
 		if err != nil {
 			b.Fatal(err)

@@ -31,10 +31,6 @@ import (
 // (e.g. -fig all, or repeated runs with -cache-dir) pay for them once.
 var cache *bitcache.Store
 
-// decWorkers is the process-wide decoder worker count from
-// -dec-workers, shared by the Figure 6 and content simulations.
-var decWorkers int
-
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "pbpair-figures:", err)
@@ -45,15 +41,15 @@ func main() {
 func run() error {
 	fig := flag.String("fig", "5", "figure to regenerate: 5, 5a, 5b, 5c, 5d, 6, 6a, 6b, headline, devices, recovery, stats, content, all")
 	frames := flag.Int("frames", 120, "frames per run (paper: 300 for Fig 5, 50 for Fig 6)")
-	plr := flag.Float64("plr", 0.1, "packet loss rate for Fig 5")
+	plr := flag.Float64("plr", 0.1, "packet loss rate for Fig 5 and -fig content (Figure 6 fixes PBPAIR's estimate at 0.1 and scripts its losses)")
 	analytic := flag.Bool("analytic", false, "evaluate Figure 5 with the closed-form engine (expected metrics under i.i.d. loss at -plr, no channel simulation); does not combine with -trials > 1")
 	trials := flag.Int("trials", 1, "Figure 5 channel realizations per cell through the bit-packed batch engine (trial 0 reproduces the single-run figure); -fig stats needs at least 2")
 	workers := flag.Int("workers", 0, "concurrent experiment runs (0 = GOMAXPROCS, 1 = serial); output is identical for every value")
-	decWorkersFlag := flag.Int("dec-workers", 1, "decoder GOB-row reconstruction goroutines per Fig 6 / content simulation (1 = serial); output is identical for every value")
 	cacheDir := flag.String("cache-dir", "", "bitstream cache spill directory (cross-process encode reuse)")
 	cacheMB := flag.Int("cache-mb", 0, "in-memory bitstream cache budget in MiB; with -cache-dir unset, 0 disables the cache")
 	flag.Parse()
-	decWorkers = *decWorkersFlag
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
 	if *trials < 1 {
 		return fmt.Errorf("-trials %d: need at least one trial", *trials)
@@ -71,6 +67,9 @@ func run() error {
 		if *analytic || *trials > 1 {
 			return fmt.Errorf("-analytic and -trials apply to the Figure 5 views (5, 5a-5d, stats, headline, devices, all), not -fig %s", *fig)
 		}
+		if *fig != "content" && set["plr"] {
+			return fmt.Errorf("-plr does not apply to -fig %s: Figure 6 scripts its loss events and fixes PBPAIR's estimate at 10%%", *fig)
+		}
 	default:
 		return fmt.Errorf("unknown figure %q", *fig)
 	}
@@ -85,10 +84,17 @@ func run() error {
 	}
 
 	switch *fig {
-	case "6", "6a", "6b":
-		return runFig6(*fig, *frames, *workers)
-	case "recovery":
-		return runRecovery(*frames, *workers)
+	case "6", "6a", "6b", "recovery":
+		series, cfg, err := runFig6(*frames, *workers)
+		if err != nil {
+			return err
+		}
+		if *fig == "recovery" {
+			printRecovery(series, cfg)
+		} else {
+			printFig6(*fig, series, cfg)
+		}
+		return nil
 	case "content":
 		return runContent(*frames, *plr, *workers)
 	}
@@ -128,24 +134,11 @@ func printAll(rows []experiment.Fig5Row, fig5 experiment.Fig5Config) error {
 	printDevices(rows)
 	fmt.Println()
 
-	fig6Frames := fig5.Frames
-	if fig6Frames > 50 {
-		fig6Frames = 50
-	}
-	cfg := experiment.Fig6Config{Frames: fig6Frames, Workers: fig5.Workers, DecoderWorkers: decWorkers, Cache: cache}.WithDefaults()
-	series, err := experiment.Fig6(cfg)
+	series, cfg, err := runFig6(fig5.Frames, fig5.Workers)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("loss events at frames %v\n", cfg.LossEvents)
-	fmt.Println("Figure 6(a): per-frame PSNR (dB)")
-	for _, s := range series {
-		fmt.Println(experiment.FormatSeries(s.Scheme, s.PSNR, "%.2f"))
-	}
-	fmt.Println("Figure 6(b): per-frame encoded size (bytes)")
-	for _, s := range series {
-		fmt.Println(experiment.FormatSeries(s.Scheme, s.FrameBytes, "%.0f"))
-	}
+	printFig6("6", series, cfg)
 	fmt.Println()
 	printRecovery(series, cfg)
 	return nil
@@ -154,7 +147,7 @@ func printAll(rows []experiment.Fig5Row, fig5 experiment.Fig5Config) error {
 // runContent prints the E18 cross-content study: the five schemes over
 // all five synthetic regimes.
 func runContent(frames int, plr float64, workers int) error {
-	rows, err := experiment.ContentTable(experiment.ContentConfig{Frames: frames, PLR: plr, Workers: workers, DecoderWorkers: decWorkers, Cache: cache})
+	rows, err := experiment.ContentTable(experiment.ContentConfig{Frames: frames, PLR: plr, Workers: workers, Cache: cache})
 	if err != nil {
 		return err
 	}
@@ -265,16 +258,21 @@ func pivotTable(title string, rows []experiment.Fig5Row, cell func(experiment.Fi
 	return tb
 }
 
-func runFig6(which string, frames, workers int) error {
+// runFig6 runs Figure 6 over at most the paper's 50-frame window. It
+// returns the defaulted config the series ran under, so its LossEvents
+// are exactly the events injected.
+func runFig6(frames, workers int) ([]experiment.Fig6Series, experiment.Fig6Config, error) {
 	if frames > 50 {
-		frames = 50 // the paper's Figure 6 window
+		frames = 50
 	}
-	cfg := experiment.Fig6Config{Frames: frames, Workers: workers, DecoderWorkers: decWorkers, Cache: cache}
+	cfg := experiment.Fig6Config{Frames: frames, Workers: workers, Cache: cache}.WithDefaults()
 	series, err := experiment.Fig6(cfg)
-	if err != nil {
-		return err
-	}
-	cfg = experiment.Fig6Config{Frames: frames}.WithDefaults()
+	return series, cfg, err
+}
+
+// printFig6 prints the requested Figure 6 panels ("6" for both) after
+// the loss events behind them.
+func printFig6(which string, series []experiment.Fig6Series, cfg experiment.Fig6Config) {
 	fmt.Printf("loss events at frames %v\n", cfg.LossEvents)
 	if which == "6" || which == "6a" {
 		fmt.Println("Figure 6(a): per-frame PSNR (dB)")
@@ -288,7 +286,6 @@ func runFig6(which string, frames, workers int) error {
 			fmt.Println(experiment.FormatSeries(s.Scheme, s.FrameBytes, "%.0f"))
 		}
 	}
-	return nil
 }
 
 func printHeadline(rows []experiment.Fig5Row) {
@@ -317,18 +314,6 @@ func printDevices(rows []experiment.Fig5Row) {
 			fmt.Sprintf("%.3f", energy.Zaurus.Joules(r.Counters)))
 	}
 	fmt.Print(tb.String())
-}
-
-func runRecovery(frames, workers int) error {
-	if frames > 50 {
-		frames = 50
-	}
-	series, err := experiment.Fig6(experiment.Fig6Config{Frames: frames, Workers: workers, DecoderWorkers: decWorkers, Cache: cache})
-	if err != nil {
-		return err
-	}
-	printRecovery(series, experiment.Fig6Config{Frames: frames}.WithDefaults())
-	return nil
 }
 
 func printRecovery(series []experiment.Fig6Series, cfg experiment.Fig6Config) {

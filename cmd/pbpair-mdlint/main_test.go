@@ -109,3 +109,46 @@ func TestLintMissingOperations(t *testing.T) {
 		t.Fatalf("want the missing-guide problem, got %v", problems)
 	}
 }
+
+// TestLintCommandFlags pins the flag-drift check: a -flag on a
+// documented command line of a cmd/ tool must be registered by that
+// tool, wherever the command line sits (fenced block, backslash
+// continuation, inline code span), while words that are not that
+// tool's flags are left alone.
+func TestLintCommandFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name, md string
+		stale    []string // flags expected to be reported, in order
+	}{
+		{"clean", "```sh\n" +
+			"go run ./cmd/pbpair-load -clients 4 --clients=8 -h\n" +
+			"/tmp/pbpair-serve -farm-workers 2 \\\n    -farm-workers 3 > /tmp/out -x 2>&1\n" +
+			"GOMAXPROCS=1 pbpair-load -clients 2 | head -n 3 && go test ./cmd/pbpair-load -run X\n" +
+			"go build -o /tmp/pbpair-serve ./cmd/pbpair-serve   # then run it -bogus\n" +
+			"pbpair-load -clients -0.5 -\n" +
+			"```\n" +
+			"Prose -seeds, `pbpair-load` then `-seeds`, and cmd/pbpair-load/main.go -seeds.\n", nil},
+		{"fenced", "```\ngo run ./cmd/pbpair-load -clients 4 -seeds 3\n```\n", []string{"-seeds"}},
+		{"continuation", "```\n/tmp/pbpair-serve -farm-workers 2 \\\n  -dec-workers 4\n```\n", []string{"-dec-workers"}},
+		{"inline", "Run `pbpair-serve -farm-workers 2 -dec-workers 4` or `go run ./cmd/pbpair-load -seeds 2`.\n",
+			[]string{"-dec-workers", "-seeds"}},
+		{"wrong tool", "```\npbpair-serve -clients 4\n```\n", []string{"-clients"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			root := scaffold(t, completeOps)
+			write(t, filepath.Join(root, "README.md"), tc.md)
+			problems, err := Lint(root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(problems) != len(tc.stale) {
+				t.Fatalf("want %d stale-flag problems %v, got %v", len(tc.stale), tc.stale, problems)
+			}
+			for i, flag := range tc.stale {
+				if !strings.HasPrefix(problems[i], "README.md:") || !strings.HasSuffix(problems[i], "has no flag "+flag) {
+					t.Errorf("problem %d = %q, want README.md's %s", i, problems[i], flag)
+				}
+			}
+		})
+	}
+}

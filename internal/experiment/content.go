@@ -5,7 +5,7 @@ import (
 
 	"pbpair/internal/bitcache"
 	"pbpair/internal/core"
-	"pbpair/internal/network"
+	"pbpair/internal/parallel"
 	"pbpair/internal/synth"
 )
 
@@ -40,10 +40,6 @@ type ContentConfig struct {
 	// Workers bounds the experiment fan-out across (regime, scheme)
 	// cells: <= 0 selects parallel.DefaultWorkers, 1 runs serially.
 	Workers int
-	// DecoderWorkers sets the per-frame GOB-row reconstruction
-	// goroutines of every simulation's decoder (<= 1 decodes
-	// serially). Output is bit-identical for every value.
-	DecoderWorkers int
 	// Cache, when non-nil, memoizes encodes by content fingerprint.
 	Cache *bitcache.Store
 }
@@ -87,61 +83,64 @@ func (c ContentConfig) WithDefaults() ContentConfig {
 	return c
 }
 
-// ContentTable runs the five schemes over the configured regimes. The
-// (regime, scheme) cells become one encode plus one simulation each,
-// flattened in the serial iteration order (regime outer, scheme inner);
-// the row order is identical for every worker count.
+// schemes returns the five schemes of the study, in row order, for one
+// regime's macroblock grid.
+func (c ContentConfig) schemes(regime synth.Regime) []SchemeSpec {
+	gridRows, gridCols := mbGrid(synth.Shared(regime))
+	return []SchemeSpec{
+		SchemeNO(),
+		SchemePBPAIR(core.Config{
+			Rows: gridRows, Cols: gridCols,
+			IntraTh: c.IntraTh, PLR: c.PLR,
+			Paranoia: c.Paranoia,
+		}),
+		SchemePGOP(3, gridCols),
+		SchemeGOP(3),
+		SchemeAIR(24),
+	}
+}
+
+// ContentTable runs the five schemes over the configured regimes.
+// Each (regime, scheme) cell is one encode evaluated against one
+// i.i.d. channel realization seeded Seed + regime — the same cell as
+// Figure 5 at one trial. Cells follow the serial iteration order
+// (regime outer, scheme inner) for every worker count.
 func ContentTable(cfg ContentConfig) ([]ContentRow, error) {
 	cfg = cfg.WithDefaults()
-	plan := NewPlan(cfg.Workers, cfg.Cache)
-	var names []string
+	type cell struct {
+		regime synth.Regime
+		scheme SchemeSpec
+	}
+	var cells []cell
 	for _, regime := range cfg.Regimes {
-		src := synth.Shared(regime)
-		gridRows, gridCols := mbGrid(src)
-		schemes := []SchemeSpec{
-			SchemeNO(),
-			SchemePBPAIR(core.Config{
-				Rows: gridRows, Cols: gridCols,
-				IntraTh: cfg.IntraTh, PLR: cfg.PLR,
-				Paranoia: cfg.Paranoia,
-			}),
-			SchemePGOP(3, gridCols),
-			SchemeGOP(3),
-			SchemeAIR(24),
-		}
-		for _, scheme := range schemes {
-			enc := plan.Encode(EncodeSpec{
-				Regime: regime, Frames: cfg.Frames,
-				QP: cfg.QP, SearchRange: cfg.SearchRange,
-				Scheme: scheme,
-			})
-			channel, err := network.NewUniformLoss(cfg.PLR, cfg.Seed+uint64(regime))
-			if err != nil {
-				return nil, err
-			}
-			plan.Simulate(enc, SimSpec{
-				Name:           fmt.Sprintf("content/%s/%s", src.Name(), scheme.Key()),
-				Channel:        channel,
-				DecoderWorkers: cfg.DecoderWorkers,
-			})
-			names = append(names, src.Name())
+		for _, scheme := range cfg.schemes(regime) {
+			cells = append(cells, cell{regime: regime, scheme: scheme})
 		}
 	}
-	results, err := plan.Run()
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]ContentRow, 0, len(results))
-	for i, res := range results {
-		rows = append(rows, ContentRow{
-			Sequence:  names[i],
-			Scheme:    res.Scheme,
-			AvgPSNR:   res.PSNR.Mean(),
-			BadPixels: res.TotalBadPix,
-			FileKB:    float64(res.TotalBytes) / 1024,
-			EnergyJ:   res.Joules,
-			IntraRate: res.IntraMBs.Mean(),
+	return parallel.Map(cfg.Workers, len(cells), func(i int) (ContentRow, error) {
+		c := cells[i]
+		src := synth.Shared(c.regime)
+		seq, err := Encode(cfg.Cache, EncodeSpec{
+			Regime: c.regime, Frames: cfg.Frames,
+			QP: cfg.QP, SearchRange: cfg.SearchRange,
+			Scheme: c.scheme,
 		})
-	}
-	return rows, nil
+		if err != nil {
+			return ContentRow{}, err
+		}
+		mtr, err := SimBatch(seq, src, SimSpec{Name: fmt.Sprintf("content/%s/%s", src.Name(), c.scheme.Key())},
+			BatchSpec{Trials: 1, Seed: cfg.Seed + uint64(c.regime), LossRate: cfg.PLR, Workers: 1})
+		if err != nil {
+			return ContentRow{}, err
+		}
+		return ContentRow{
+			Sequence:  src.Name(),
+			Scheme:    seq.Scheme,
+			AvgPSNR:   mtr.LanePSNR[0],
+			BadPixels: int(mtr.LaneBadPixels[0]),
+			FileKB:    float64(mtr.TotalBytes) / 1024,
+			EnergyJ:   mtr.Joules,
+			IntraRate: intraRate(seq),
+		}, nil
+	})
 }

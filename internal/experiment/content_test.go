@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"reflect"
 	"testing"
 
 	"pbpair/internal/synth"
@@ -58,5 +59,28 @@ func TestContentTableSmall(t *testing.T) {
 	if pbHall.AvgPSNR < pgopHall.AvgPSNR-3 {
 		t.Fatalf("PBPAIR hall quality %.2f collapsed vs PGOP %.2f",
 			pbHall.AvgPSNR, pgopHall.AvgPSNR)
+	}
+}
+
+// TestContentTableMatchesScalar pins that ContentTable's batch cells
+// at one trial reproduce the scalar oracle — one Encode plus one
+// Simulate over UniformLoss(PLR, Seed + regime) per cell — field for
+// field.
+func TestContentTableMatchesScalar(t *testing.T) {
+	cfg := ContentConfig{
+		Frames: 6, SearchRange: 7, PLR: 0.2,
+		Regimes: []synth.Regime{synth.RegimeHall, synth.RegimeForeman},
+		Workers: 2,
+	}
+	want, err := contentScalar(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ContentTable(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("ContentTable diverged from the scalar oracle:\ngot  %+v\nwant %+v", got, want)
 	}
 }

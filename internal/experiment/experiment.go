@@ -4,11 +4,12 @@
 // recovery measurement the paper's Section 4 experiments need.
 //
 // The grid experiments (Sweep, Fig5, Fig6, ContentTable, RDCurve)
-// fan independent runs out across a bounded worker pool
-// (internal/parallel) controlled by each config's Workers knob;
-// results land in index-addressed slots in the serial iteration order,
-// so every table, trace and CSV is byte-identical for any worker
-// count. A Scenario additionally exposes Workers for the encoder's
+// are each one loop over cells: a cell is one Encode of a SchemeSpec
+// followed by one evaluation (SimBatch, Analyze or Simulate), and the
+// cells fan out across a bounded worker pool (internal/parallel)
+// controlled by each config's Workers knob. Results land in
+// index-addressed slots in the serial iteration order, so every table,
+// trace and CSV is byte-identical for any worker count. A Scenario additionally exposes Workers for the encoder's
 // intra-frame sharding — the second concurrency level, equally
 // deterministic (see ARCHITECTURE.md).
 package experiment
@@ -95,7 +96,6 @@ type Result struct {
 	Joules        float64
 	Breakdown     energy.Breakdown
 	DecodedFrames []*video.Frame // retained only when KeepFrames was set
-	keepFrames    bool
 }
 
 // Option customises a run.
@@ -112,10 +112,10 @@ type runner struct {
 }
 
 // Run executes a scenario: the encode phase followed by the simulate
-// phase (see pipeline.go). The split is invisible here — Run produces
-// exactly what the single-loop implementation did, because the encoder
-// never sees the channel — but it lets a Plan share the encode across
-// many simulations.
+// phase (see pipeline.go). It is the entry point for callers holding a
+// live planner or a custom source; experiments that name their scheme
+// with a SchemeSpec go through Encode and Simulate instead, which
+// produce exactly what Run does for the same configuration.
 func Run(s Scenario, opts ...Option) (*Result, error) {
 	seq, err := encodeScenario(s)
 	if err != nil {

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -291,6 +292,30 @@ func TestFig6SmallRun(t *testing.T) {
 	t.Logf("frame-size burstiness (max/mean): GOP-8 %.2f, PBPAIR %.2f", gopBurst, pbBurst)
 	if gopBurst <= pbBurst {
 		t.Fatalf("GOP burstiness %.2f not above PBPAIR %.2f", gopBurst, pbBurst)
+	}
+}
+
+// TestFig6LossEventWindow pins that Fig6 reports recovery only for
+// loss events it injected: the defaults are cut to the window, and
+// explicit events outside it or out of order are rejected.
+func TestFig6LossEventWindow(t *testing.T) {
+	cfg := Fig6Config{Frames: 16}.WithDefaults()
+	if want := []int{4, 7, 13}; !reflect.DeepEqual(cfg.LossEvents, want) {
+		t.Fatalf("default events at 16 frames = %v, want %v", cfg.LossEvents, want)
+	}
+	series, err := Fig6(Fig6Config{Frames: 16, ProbeFrames: 10, SearchRange: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range series {
+		if len(s.Recovery) != 3 {
+			t.Fatalf("%s: recovery for %d events, want 3 (events 4, 7, 13)", s.Scheme, len(s.Recovery))
+		}
+	}
+	for _, events := range [][]int{{4, 50}, {-1, 4}, {7, 4}, {4, 4}} {
+		if _, err := Fig6(Fig6Config{Frames: 40, ProbeFrames: 10, SearchRange: 7, LossEvents: events}); err == nil {
+			t.Errorf("loss events %v at 40 frames accepted", events)
+		}
 	}
 }
 

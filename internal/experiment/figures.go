@@ -21,8 +21,8 @@ import (
 // Every experiment splits into an encode phase and a simulate phase
 // (see pipeline.go), so loss-independent axes never re-encode: Fig5
 // and Sweep evaluate each encode once through the batch or analytic
-// engine, Fig6 through a Plan of scalar simulations against the
-// shared bitstreams.
+// engine, Fig6 through a clean and a scheduled-loss Simulate of each
+// scheme's one encode.
 
 // Engine selects how an experiment evaluates the lossy channel.
 type Engine int
@@ -309,18 +309,17 @@ func Fig5(cfg Fig5Config) ([]Fig5Row, error) {
 
 // Fig6Config parameterises the Figure 6 reproduction.
 type Fig6Config struct {
-	Frames      int   // paper: 50
-	QP          int   // default 8
-	SearchRange int   // motion search range (default 15)
-	LossEvents  []int // frames lost (e1..e7); defaults include a GOP-8 I-frame
+	Frames      int // paper: 50
+	QP          int // default 8
+	SearchRange int // motion search range (default 15)
+	// LossEvents are the frames lost (e1..e7), strictly increasing and
+	// inside [0, Frames). The defaults include a GOP-8 I-frame; only
+	// those inside the window are kept.
+	LossEvents  []int
 	ProbeFrames int
 	// Workers bounds the experiment fan-out across the scheme traces.
 	// <= 0 selects parallel.DefaultWorkers, 1 runs serially.
 	Workers int
-	// DecoderWorkers sets the per-frame GOB-row reconstruction
-	// goroutines of every simulation's decoder (<= 1 decodes
-	// serially). Output is bit-identical for every value.
-	DecoderWorkers int
 	// Cache, when non-nil, memoizes encodes by content fingerprint.
 	Cache *bitcache.Store
 }
@@ -336,7 +335,12 @@ func (c Fig6Config) WithDefaults() Fig6Config {
 	if len(c.LossEvents) == 0 {
 		// Seven loss events; e7 = frame 36 is a GOP-8 I-frame (multiples
 		// of 9), demonstrating the paper's I-frame-loss failure mode.
-		c.LossEvents = []int{4, 7, 13, 17, 23, 29, 36}
+		// Shorter windows keep the events that fall inside them.
+		for _, ev := range []int{4, 7, 13, 17, 23, 29, 36} {
+			if ev < c.Frames {
+				c.LossEvents = append(c.LossEvents, ev)
+			}
+		}
 	}
 	if c.ProbeFrames == 0 {
 		c.ProbeFrames = 25
@@ -358,9 +362,18 @@ type Fig6Series struct {
 // PBPAIR, PGOP-1, GOP-8 and AIR-10 (size-matched per the paper) on the
 // foreman sequence under scripted loss events. Each scheme's clean and
 // lossy traces are two simulations of one shared encode — the
-// structural form of "the encoder never sees the channel".
+// structural form of "the encoder never sees the channel". The four
+// scheme cells fan out across cfg.Workers.
 func Fig6(cfg Fig6Config) ([]Fig6Series, error) {
 	cfg = cfg.WithDefaults()
+	for i, ev := range cfg.LossEvents {
+		if ev < 0 || ev >= cfg.Frames {
+			return nil, fmt.Errorf("experiment: Fig6 loss event %d outside the %d-frame window", ev, cfg.Frames)
+		}
+		if i > 0 && ev <= cfg.LossEvents[i-1] {
+			return nil, fmt.Errorf("experiment: Fig6 loss events %v not strictly increasing", cfg.LossEvents)
+		}
+	}
 	src := synth.Shared(synth.RegimeForeman)
 	gridRows, gridCols := mbGrid(src)
 	const plr = 0.10 // PBPAIR's assumed network estimate
@@ -398,38 +411,33 @@ func Fig6(cfg Fig6Config) ([]Fig6Series, error) {
 		{spec: SchemeAIR(10)},
 	}
 
-	plan := NewPlan(cfg.Workers, cfg.Cache)
-	for _, c := range cases {
-		enc := plan.Encode(EncodeSpec{
+	return parallel.Map(cfg.Workers, len(cases), func(i int) (Fig6Series, error) {
+		c := cases[i]
+		seq, err := Encode(cfg.Cache, EncodeSpec{
 			Regime: synth.RegimeForeman, Frames: cfg.Frames,
 			QP: cfg.QP, SearchRange: cfg.SearchRange,
 			Scheme: c.spec,
 		})
-		plan.Simulate(enc, SimSpec{Name: "fig6-clean", DecoderWorkers: cfg.DecoderWorkers})
-		plan.Simulate(enc, SimSpec{
-			Name:           "fig6-lossy",
-			Channel:        network.NewSchedule(cfg.LossEvents...),
-			DecoderWorkers: cfg.DecoderWorkers,
-		})
-	}
-	runs, err := plan.Run()
-	if err != nil {
-		return nil, err
-	}
-
-	out := make([]Fig6Series, 0, len(cases))
-	for i, c := range cases {
-		clean, lossy := runs[2*i], runs[2*i+1]
-		out = append(out, Fig6Series{
+		if err != nil {
+			return Fig6Series{}, err
+		}
+		clean, err := Simulate(seq, src, SimSpec{Name: "fig6-clean"})
+		if err != nil {
+			return Fig6Series{}, err
+		}
+		lossy, err := Simulate(seq, src, SimSpec{Name: "fig6-lossy", Channel: network.NewSchedule(cfg.LossEvents...)})
+		if err != nil {
+			return Fig6Series{}, err
+		}
+		return Fig6Series{
 			Scheme:     lossy.Scheme,
 			PSNR:       lossy.PSNR.Values(),
 			FrameBytes: lossy.FrameBytes.Values(),
 			CleanPSNR:  clean.PSNR.Values(),
 			Recovery:   RecoveryFrames(clean.PSNR.Values(), lossy.PSNR.Values(), cfg.LossEvents, 1.0),
 			IntraTh:    c.intraTh,
-		})
-	}
-	return out, nil
+		}, nil
+	})
 }
 
 // SweepConfig parameterises the §4.3 / §4.4 operating-point sweeps.
@@ -546,14 +554,10 @@ func Sweep(cfg SweepConfig) ([]SweepPoint, error) {
 		if err != nil {
 			return SweepPoint{}, err
 		}
-		intraMBs := 0
-		for f := range seq.Frames {
-			intraMBs += seq.Frames[f].IntraMBs
-		}
 		return SweepPoint{
 			IntraTh:          pt.th,
 			PLR:              pt.plr,
-			IntraMBsPerFrame: float64(intraMBs) / float64(len(seq.Frames)),
+			IntraMBsPerFrame: intraRate(seq),
 			FileKB:           float64(mtr.TotalBytes) / 1024,
 			EnergyJ:          mtr.Joules,
 			AvgPSNR:          mtr.PSNR.Mean,

@@ -11,14 +11,14 @@ import (
 	"pbpair/internal/synth"
 )
 
-// Test oracles. Fig5 and Sweep evaluate every cell through the batch
-// engine; the scalar paths below — one Plan of Simulate runs, one
-// sampled channel per cell — are what they replaced, kept as the
+// Test oracles. Fig5, Sweep and ContentTable evaluate every cell
+// through the batch engine; the scalar paths below — a serial loop of
+// Encode plus Simulate, one sampled channel per cell — are the
 // reference the single-trial pins compare against, like the *Ref
 // kernels beside the fast ones.
 
-// fig5Scalar is Figure 5 through a Plan of scalar Simulate runs: the
-// same calibration and encodes as Fig5, each cell against one uniform
+// fig5Scalar is Figure 5 through scalar Simulate runs: the same
+// calibration and encodes as Fig5, each cell against one uniform
 // channel seeded cfg.Seed + regime. Fig5 at one trial must equal it
 // field for field.
 func fig5Scalar(cfg Fig5Config) ([]Fig5Row, error) {
@@ -28,53 +28,84 @@ func fig5Scalar(cfg Fig5Config) ([]Fig5Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan := NewPlan(cfg.Workers, cfg.Cache)
-	type cell struct {
-		sequence string
-		th       float64
-	}
-	var cells []cell
+	var rows []Fig5Row
 	for si, regime := range regimes {
 		src := synth.Shared(regime)
 		gridRows, gridCols := mbGrid(src)
 		for _, sc := range fig5Schemes(gridRows, gridCols, ths[si], cfg.PLR) {
-			enc := plan.Encode(EncodeSpec{
+			seq, err := Encode(cfg.Cache, EncodeSpec{
 				Regime: regime, Frames: cfg.Frames,
 				QP: cfg.QP, SearchRange: cfg.SearchRange,
 				Scheme: sc.spec,
 			})
+			if err != nil {
+				return nil, err
+			}
 			channel, err := network.NewUniformLoss(cfg.PLR, cfg.Seed+uint64(regime))
 			if err != nil {
 				return nil, err
 			}
-			plan.Simulate(enc, SimSpec{
+			res, err := Simulate(seq, src, SimSpec{
 				Name:    fmt.Sprintf("fig5/%s/%s", src.Name(), sc.spec.Key()),
 				Channel: channel,
 				Profile: cfg.Profile,
 			})
-			c := cell{sequence: src.Name()}
-			if sc.intraTh {
-				c.th = ths[si]
+			if err != nil {
+				return nil, err
 			}
-			cells = append(cells, c)
+			row := Fig5Row{
+				Sequence:  src.Name(),
+				Scheme:    res.Scheme,
+				AvgPSNR:   res.PSNR.Mean(),
+				BadPixels: float64(res.TotalBadPix),
+				FileKB:    float64(res.TotalBytes) / 1024,
+				EnergyJ:   res.Joules,
+				Counters:  res.Counters,
+				Trials:    1,
+			}
+			if sc.intraTh {
+				row.IntraTh = ths[si]
+			}
+			rows = append(rows, row)
 		}
 	}
-	results, err := plan.Run()
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Fig5Row, len(results))
-	for i, res := range results {
-		rows[i] = Fig5Row{
-			Sequence:  cells[i].sequence,
-			Scheme:    res.Scheme,
-			AvgPSNR:   res.PSNR.Mean(),
-			BadPixels: float64(res.TotalBadPix),
-			FileKB:    float64(res.TotalBytes) / 1024,
-			EnergyJ:   res.Joules,
-			IntraTh:   cells[i].th,
-			Counters:  res.Counters,
-			Trials:    1,
+	return rows, nil
+}
+
+// contentScalar is ContentTable through scalar Simulate runs: each
+// (regime, scheme) cell against one uniform channel seeded
+// cfg.Seed + regime. ContentTable must equal it field for field.
+func contentScalar(cfg ContentConfig) ([]ContentRow, error) {
+	cfg = cfg.WithDefaults()
+	var rows []ContentRow
+	for _, regime := range cfg.Regimes {
+		src := synth.Shared(regime)
+		for _, scheme := range cfg.schemes(regime) {
+			seq, err := Encode(cfg.Cache, EncodeSpec{
+				Regime: regime, Frames: cfg.Frames,
+				QP: cfg.QP, SearchRange: cfg.SearchRange,
+				Scheme: scheme,
+			})
+			if err != nil {
+				return nil, err
+			}
+			channel, err := network.NewUniformLoss(cfg.PLR, cfg.Seed+uint64(regime))
+			if err != nil {
+				return nil, err
+			}
+			res, err := Simulate(seq, src, SimSpec{Name: "content", Channel: channel})
+			if err != nil {
+				return nil, err
+			}
+			rows = append(rows, ContentRow{
+				Sequence:  src.Name(),
+				Scheme:    res.Scheme,
+				AvgPSNR:   res.PSNR.Mean(),
+				BadPixels: res.TotalBadPix,
+				FileKB:    float64(res.TotalBytes) / 1024,
+				EnergyJ:   res.Joules,
+				IntraRate: res.IntraMBs.Mean(),
+			})
 		}
 	}
 	return rows, nil
@@ -202,23 +233,24 @@ func SeparationVerdict(rows []Fig5Row, sequence, a, b string) (bool, error) {
 	return ra.AvgPSNR > rb.AvgPSNR+margin, nil
 }
 
-// sweepScalar is the sweep through a Plan of scalar Simulate runs: one
-// channel per grid point seeded cfg.Seed, loss-free points on a
-// perfect channel. Sweep at one trial must render the same CSV.
+// sweepScalar is the sweep through scalar Simulate runs: one channel
+// per grid point seeded cfg.Seed, loss-free points on a perfect
+// channel. Sweep at one trial must render the same CSV.
 func sweepScalar(cfg SweepConfig) ([]SweepPoint, error) {
 	cfg = cfg.WithDefaults()
 	src := synth.Shared(cfg.Regime)
 	gridRows, gridCols := mbGrid(src)
-	plan := NewPlan(cfg.Workers, cfg.Cache)
-	type point struct{ th, plr float64 }
-	var points []point
+	var out []SweepPoint
 	for _, plr := range cfg.PLRs {
 		for _, th := range cfg.IntraThs {
-			enc := plan.Encode(EncodeSpec{
+			seq, err := Encode(cfg.Cache, EncodeSpec{
 				Regime: cfg.Regime, Frames: cfg.Frames,
 				QP: cfg.QP, SearchRange: cfg.SearchRange,
 				Scheme: SchemePBPAIR(core.Config{Rows: gridRows, Cols: gridCols, IntraTh: th, PLR: plr}),
 			})
+			if err != nil {
+				return nil, err
+			}
 			var channel network.Channel
 			if plr > 0 {
 				uniform, err := network.NewUniformLoss(plr, cfg.Seed)
@@ -227,29 +259,24 @@ func sweepScalar(cfg SweepConfig) ([]SweepPoint, error) {
 				}
 				channel = uniform
 			}
-			plan.Simulate(enc, SimSpec{
+			res, err := Simulate(seq, src, SimSpec{
 				Name:    fmt.Sprintf("sweep/th%.2f/plr%.2f", th, plr),
 				Channel: channel,
 				Profile: cfg.Profile,
 			})
-			points = append(points, point{th: th, plr: plr})
-		}
-	}
-	results, err := plan.Run()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]SweepPoint, len(results))
-	for i, res := range results {
-		out[i] = SweepPoint{
-			IntraTh:          points[i].th,
-			PLR:              points[i].plr,
-			IntraMBsPerFrame: res.IntraMBs.Mean(),
-			FileKB:           float64(res.TotalBytes) / 1024,
-			EnergyJ:          res.Joules,
-			AvgPSNR:          res.PSNR.Mean(),
-			BadPixels:        res.TotalBadPix,
-			Trials:           1,
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, SweepPoint{
+				IntraTh:          th,
+				PLR:              plr,
+				IntraMBsPerFrame: res.IntraMBs.Mean(),
+				FileKB:           float64(res.TotalBytes) / 1024,
+				EnergyJ:          res.Joules,
+				AvgPSNR:          res.PSNR.Mean(),
+				BadPixels:        res.TotalBadPix,
+				Trials:           1,
+			})
 		}
 	}
 	return out, nil

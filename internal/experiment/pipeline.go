@@ -9,7 +9,6 @@ import (
 	"pbpair/internal/metrics"
 	"pbpair/internal/motion"
 	"pbpair/internal/network"
-	"pbpair/internal/parallel"
 	"pbpair/internal/synth"
 )
 
@@ -18,10 +17,11 @@ import (
 // deterministic, never sees the channel) and a simulate phase
 // (bitstream → packets → lossy channel → decode → metrics). EncodeSpec
 // describes the first phase canonically enough to fingerprint, SimSpec
-// the second, and Plan wires N encodes to M ≥ N simulations so that
-// loss-independent grid axes (seeds, PLR columns, clean/lossy pairs)
-// share one encode instead of re-running it. See ARCHITECTURE.md,
-// "Two-phase experiment pipeline".
+// the second. Every grid experiment is one parallel.Map over its
+// cells, each cell one Encode (through the bitstream cache) followed
+// by its evaluations — Simulate, SimBatch or Analyze — so
+// loss-independent axes (trials, clean/lossy pairs) share one encode.
+// See ARCHITECTURE.md, "Two-phase experiment pipeline".
 
 // EncodeSpec canonically describes one encode job: the synthetic
 // source, the frame count and every bitstream-affecting codec knob,
@@ -135,6 +135,15 @@ func Encode(cache *bitcache.Store, spec EncodeSpec) (*codec.EncodedSequence, err
 	return cache.GetOrCompute(spec.Fingerprint(), spec.encode)
 }
 
+// intraRate returns the sequence's mean intra macroblocks per frame.
+func intraRate(seq *codec.EncodedSequence) float64 {
+	intraMBs := 0
+	for f := range seq.Frames {
+		intraMBs += seq.Frames[f].IntraMBs
+	}
+	return float64(intraMBs) / float64(len(seq.Frames))
+}
+
 // encodeSequence drives the encoder over frames [0, n) and collects
 // the bitstreams plus the energy tally — the encode phase shared by
 // spec-based jobs and Scenario runs.
@@ -196,10 +205,6 @@ type SimSpec struct {
 	// each decoded frame (codec.WithDecoderWorkers). <= 1 decodes
 	// serially; the decoded frames are bit-identical for every value.
 	DecoderWorkers int
-	// KeepFrames retains a clone of every decoded frame in the result
-	// (memory-heavy; off by default). Equivalent to passing the
-	// KeepFrames option, but usable through Plan.Simulate.
-	KeepFrames bool
 }
 
 // Validate rejects simulation specs whose numeric knobs are negative.
@@ -228,9 +233,9 @@ func (s SimSpec) Validate() error {
 // measures the decode against src (which must be the source the
 // sequence was encoded from; frames are regenerated on the fly —
 // synthetic sources are deterministic). It is the simulate phase of
-// every run in this package: Run(scenario) is exactly one encode
-// followed by one Simulate, and a Plan fans many Simulates out
-// against shared sequences.
+// every scalar run in this package: Run(scenario) is exactly one
+// encode followed by one Simulate, and Fig6 and RDCurve simulate each
+// cell's shared sequence.
 func Simulate(seq *codec.EncodedSequence, src synth.Source, sim SimSpec, opts ...Option) (*Result, error) {
 	var r runner
 	for _, opt := range opts {
@@ -268,9 +273,8 @@ func Simulate(seq *codec.EncodedSequence, src synth.Source, sim SimSpec, opts ..
 		profile = energy.IPAQ
 	}
 
-	keep := r.keep || sim.KeepFrames
 	frames := len(seq.Frames)
-	res := &Result{Name: sim.Name, Scheme: seq.Scheme, Frames: frames, keepFrames: keep}
+	res := &Result{Name: sim.Name, Scheme: seq.Scheme, Frames: frames}
 
 	// Frames are processed in blocks: one frame at a time normally, or
 	// FECGroup frames per block when FEC is on (the receiver buffers a
@@ -350,7 +354,7 @@ func Simulate(seq *codec.EncodedSequence, src synth.Source, sim SimSpec, opts ..
 			res.BadPixels.Add(float64(st.Bad))
 			res.TotalBadPix += st.Bad
 
-			if keep {
+			if r.keep {
 				res.DecodedFrames = append(res.DecodedFrames, decoded.Frame.Clone())
 			}
 		}
@@ -359,99 +363,4 @@ func Simulate(seq *codec.EncodedSequence, src synth.Source, sim SimSpec, opts ..
 	res.Breakdown = profile.Decompose(seq.Counters)
 	res.Joules = res.Breakdown.Total()
 	return res, nil
-}
-
-// Plan collects an experiment's encode jobs and the simulations that
-// consume them, then runs both phases through the worker pool. Encode
-// jobs added by spec are deduplicated by fingerprint — the second
-// Encode of an equal spec returns the first job's handle — and served
-// through the bitstream cache when one is set, so equal encodes are
-// also shared across plans (and, with a spill directory, across
-// processes).
-//
-// Determinism: distinct encodes run first (parallel.Map, one slot per
-// job), then all simulations (one slot per Simulate call, in add
-// order). Both phases inherit parallel's index-addressed slots and
-// lowest-index error selection, so Run's result slice is identical
-// for every worker count and any cache state.
-type Plan struct {
-	workers int
-	cache   *bitcache.Store
-
-	encodes []planEncode
-	byKey   map[bitcache.Key]int
-	sims    []planSim
-}
-
-type planEncode struct {
-	src synth.Source
-	run func() (*codec.EncodedSequence, error)
-}
-
-type planSim struct {
-	enc  int
-	spec SimSpec
-}
-
-// NewPlan builds an empty plan. workers bounds both phases' fan-out
-// (<= 0 selects parallel.DefaultWorkers); cache may be nil.
-func NewPlan(workers int, cache *bitcache.Store) *Plan {
-	return &Plan{workers: workers, cache: cache, byKey: make(map[bitcache.Key]int)}
-}
-
-// Encode registers a spec-based encode job and returns its handle,
-// deduplicating against previously added equal specs.
-func (p *Plan) Encode(spec EncodeSpec) int {
-	spec = spec.withDefaults()
-	key := spec.Fingerprint()
-	if i, ok := p.byKey[key]; ok {
-		return i
-	}
-	i := len(p.encodes)
-	p.byKey[key] = i
-	p.encodes = append(p.encodes, planEncode{
-		src: synth.Shared(spec.Regime),
-		run: func() (*codec.EncodedSequence, error) { return Encode(p.cache, spec) },
-	})
-	return i
-}
-
-// EncodeScenario registers an encode job described by a Scenario —
-// for callers holding a live planner rather than a canonical
-// SchemeSpec. Such jobs cannot be fingerprinted, so they bypass the
-// cache and are never deduplicated; the scenario's channel, FEC and
-// metric settings are ignored (those belong to SimSpec).
-func (p *Plan) EncodeScenario(s Scenario) int {
-	i := len(p.encodes)
-	p.encodes = append(p.encodes, planEncode{
-		src: s.Source,
-		run: func() (*codec.EncodedSequence, error) { return encodeScenario(s) },
-	})
-	return i
-}
-
-// Simulate registers a simulation of encode job enc (a handle from
-// Encode or EncodeScenario) and returns its result index in Run's
-// output.
-func (p *Plan) Simulate(enc int, spec SimSpec) int {
-	if enc < 0 || enc >= len(p.encodes) {
-		panic(fmt.Sprintf("experiment: plan simulate references encode %d of %d", enc, len(p.encodes)))
-	}
-	p.sims = append(p.sims, planSim{enc: enc, spec: spec})
-	return len(p.sims) - 1
-}
-
-// Run executes the encode phase, then the simulate phase, and returns
-// one Result per Simulate call in add order.
-func (p *Plan) Run() ([]*Result, error) {
-	seqs, err := parallel.Map(p.workers, len(p.encodes), func(i int) (*codec.EncodedSequence, error) {
-		return p.encodes[i].run()
-	})
-	if err != nil {
-		return nil, err
-	}
-	return parallel.Map(p.workers, len(p.sims), func(i int) (*Result, error) {
-		job := p.sims[i]
-		return Simulate(seqs[job.enc], p.encodes[job.enc].src, job.spec)
-	})
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"pbpair/internal/bitcache"
-	"pbpair/internal/codec"
 	"pbpair/internal/network"
 	"pbpair/internal/synth"
 )
@@ -37,9 +36,9 @@ func TestEncodeSpecValidation(t *testing.T) {
 	}
 }
 
-// TestEncodeMatchesScenario pins the refactor's central identity: a
+// TestEncodeMatchesScenario pins the pipeline's central identity: a
 // spec-based encode and the equivalent Scenario encode produce the
-// same sequence, so Plan-based experiments inherit every byte of the
+// same sequence, so spec-based experiments inherit every byte of the
 // pre-pipeline outputs.
 func TestEncodeMatchesScenario(t *testing.T) {
 	spec := EncodeSpec{
@@ -66,9 +65,9 @@ func TestEncodeMatchesScenario(t *testing.T) {
 	}
 }
 
-// TestRunMatchesPlan pins that a Plan produces exactly what Run does
-// for the same configuration, cache on or off, at several worker
-// counts.
+// TestRunMatchesPlan pins that a spec-based Encode followed by
+// Simulate produces exactly what Run does for the same configuration,
+// cache on or off, at several encoder worker counts.
 func TestRunMatchesPlan(t *testing.T) {
 	const frames = 5
 	channelAt := func(seed uint64) network.Channel {
@@ -97,72 +96,24 @@ func TestRunMatchesPlan(t *testing.T) {
 				if cached {
 					cache = newCache(t)
 				}
-				plan := NewPlan(workers, cache)
-				enc := plan.Encode(EncodeSpec{
+				seq, err := Encode(cache, EncodeSpec{
 					Regime: synth.RegimeAkiyo, Frames: frames,
 					SearchRange: 7, Scheme: SchemeAIR(9),
+					Workers: workers,
 				})
-				plan.Simulate(enc, SimSpec{Name: "pipe", Channel: channelAt(5)})
-				got, err := plan.Run()
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(got) != 1 || !reflect.DeepEqual(got[0], want) {
-					t.Fatal("plan result diverged from Run")
+				got, err := Simulate(seq, synth.Shared(synth.RegimeAkiyo), SimSpec{Name: "pipe", Channel: channelAt(5)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatal("Encode+Simulate result diverged from Run")
 				}
 			})
 		}
 	}
-}
-
-// TestPlanDeduplicatesEncodes verifies the dedupe and single-encode
-// sharing: N simulations of one spec run one encode.
-func TestPlanDeduplicatesEncodes(t *testing.T) {
-	cache := newCache(t)
-	plan := NewPlan(1, cache)
-	spec := EncodeSpec{Regime: synth.RegimeAkiyo, Frames: 3, SearchRange: 7, Scheme: SchemeNO()}
-	a := plan.Encode(spec)
-	b := plan.Encode(spec)
-	if a != b {
-		t.Fatalf("equal specs got distinct handles %d, %d", a, b)
-	}
-	// The same spec with a different Workers knob is the same encode.
-	c := plan.Encode(EncodeSpec{Regime: synth.RegimeAkiyo, Frames: 3, SearchRange: 7, Scheme: SchemeNO(), Workers: 4})
-	if c != a {
-		t.Fatal("Workers knob broke encode dedupe")
-	}
-	d := plan.Encode(EncodeSpec{Regime: synth.RegimeAkiyo, Frames: 4, SearchRange: 7, Scheme: SchemeNO()})
-	if d == a {
-		t.Fatal("distinct specs shared a handle")
-	}
-	for seed := uint64(0); seed < 3; seed++ {
-		ch, err := network.NewUniformLoss(0.2, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan.Simulate(a, SimSpec{Name: "s", Channel: ch})
-	}
-	plan.Simulate(d, SimSpec{Name: "d"})
-	results, err := plan.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 4 {
-		t.Fatalf("got %d results, want 4", len(results))
-	}
-	st := cache.Stats()
-	if st.Misses != 2 {
-		t.Fatalf("cache misses = %d, want 2 (one per distinct spec)", st.Misses)
-	}
-}
-
-func TestPlanSimulatePanicsOnBadHandle(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on out-of-range handle")
-		}
-	}()
-	NewPlan(1, nil).Simulate(0, SimSpec{})
 }
 
 // TestFig5IdenticalCacheOnOff pins the headline acceptance property on
@@ -222,34 +173,6 @@ func TestSweepIdenticalCacheOnOff(t *testing.T) {
 		if SweepCSV(got) != wantCSV {
 			t.Fatalf("workers=%d: cached sweep CSV diverged", workers)
 		}
-	}
-}
-
-// TestRDCurveSchemeMatchesMakePlanner pins that the cacheable Scheme
-// path and the legacy MakePlanner path produce the same curve.
-func TestRDCurveSchemeMatchesMakePlanner(t *testing.T) {
-	base := RDConfig{
-		Regime: synth.RegimeAkiyo, Frames: 4, SearchRange: 7,
-		QPs: []int{4, 16}, Workers: 1,
-	}
-	legacy := base
-	legacy.MakePlanner = func() (codec.ModePlanner, error) { return SchemeGOP(3).Build() }
-	want, err := RDCurve(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaScheme := base
-	viaScheme.Scheme = SchemeGOP(3)
-	viaScheme.Cache = newCache(t)
-	got, err := RDCurve(viaScheme)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("Scheme path diverged from MakePlanner path")
-	}
-	if st := viaScheme.Cache.Stats(); st.Misses != int64(len(base.QPs)) {
-		t.Fatalf("cache misses = %d, want %d", st.Misses, len(base.QPs))
 	}
 }
 

@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 
-	"pbpair/internal/codec"
 	"pbpair/internal/network"
 	"pbpair/internal/synth"
 )
@@ -38,13 +37,13 @@ type PropagationConfig struct {
 	Event       int // frame lost (must be >= 1, < Frames)
 	QP          int
 	SearchRange int
-	MakePlanner func() (codec.ModePlanner, error) // fresh planner per encode
+	Scheme      SchemeSpec // required
 }
 
 // Propagation measures one scheme's single-loss decay profile.
 func Propagation(cfg PropagationConfig) (*PropagationResult, error) {
-	if cfg.MakePlanner == nil {
-		return nil, fmt.Errorf("experiment: Propagation needs MakePlanner")
+	if cfg.Scheme.Kind == 0 {
+		return nil, fmt.Errorf("experiment: Propagation needs a Scheme")
 	}
 	if cfg.Regime == 0 {
 		cfg.Regime = synth.RegimeForeman
@@ -62,20 +61,11 @@ func Propagation(cfg PropagationConfig) (*PropagationResult, error) {
 
 	// One encode, two simulations: the clean and lossy traces come from
 	// the same bitstream, which is exactly the paper's premise (the
-	// encoder never sees the channel). The pre-pipeline implementation
-	// encoded twice with two fresh planners; planners are deterministic,
-	// so the two bitstreams were identical and so are the results.
-	planner, err := cfg.MakePlanner()
-	if err != nil {
-		return nil, err
-	}
-	seq, err := encodeScenario(Scenario{
-		Name:        "propagation",
-		Source:      src,
-		Frames:      cfg.Frames,
-		QP:          cfg.QP,
-		SearchRange: cfg.SearchRange,
-		Planner:     planner,
+	// encoder never sees the channel).
+	seq, err := Encode(nil, EncodeSpec{
+		Regime: cfg.Regime, Frames: cfg.Frames,
+		QP: cfg.QP, SearchRange: cfg.SearchRange,
+		Scheme: cfg.Scheme,
 	})
 	if err != nil {
 		return nil, err

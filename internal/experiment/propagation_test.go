@@ -3,18 +3,16 @@ package experiment
 import (
 	"testing"
 
-	"pbpair/internal/codec"
 	"pbpair/internal/core"
-	"pbpair/internal/resilience"
 )
 
 func TestPropagationValidation(t *testing.T) {
 	if _, err := Propagation(PropagationConfig{}); err == nil {
-		t.Fatal("missing MakePlanner accepted")
+		t.Fatal("missing Scheme accepted")
 	}
 	if _, err := Propagation(PropagationConfig{
 		Frames: 10, Event: 20,
-		MakePlanner: func() (codec.ModePlanner, error) { return resilience.NewNone(), nil },
+		Scheme: SchemeNO(),
 	}); err == nil {
 		t.Fatal("event outside window accepted")
 	}
@@ -27,16 +25,14 @@ func TestPropagationShapes(t *testing.T) {
 	base := PropagationConfig{Frames: 30, Event: 8, SearchRange: 7}
 
 	noCfg := base
-	noCfg.MakePlanner = func() (codec.ModePlanner, error) { return resilience.NewNone(), nil }
+	noCfg.Scheme = SchemeNO()
 	no, err := Propagation(noCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	pbCfg := base
-	pbCfg.MakePlanner = func() (codec.ModePlanner, error) {
-		return core.New(core.Config{Rows: 9, Cols: 11, IntraTh: 0.9, PLR: 0.1})
-	}
+	pbCfg.Scheme = SchemePBPAIR(core.Config{Rows: 9, Cols: 11, IntraTh: 0.9, PLR: 0.1})
 	pb, err := Propagation(pbCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +64,7 @@ func TestPropagationShapes(t *testing.T) {
 // the gap stays high, then collapses to ~0 in one frame.
 func TestPropagationGOPStep(t *testing.T) {
 	cfg := PropagationConfig{Frames: 30, Event: 10, SearchRange: 7}
-	cfg.MakePlanner = func() (codec.ModePlanner, error) { return resilience.NewGOP(8) }
+	cfg.Scheme = SchemeGOP(8)
 	res, err := Propagation(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"pbpair/internal/bitcache"
-	"pbpair/internal/codec"
+	"pbpair/internal/parallel"
 	"pbpair/internal/synth"
 )
 
@@ -26,32 +26,23 @@ type RDConfig struct {
 	Frames      int
 	SearchRange int
 	QPs         []int
-	// Scheme, when set (Kind != 0), describes the resilience scheme as
-	// a canonical value, which makes each QP point fingerprintable and
-	// therefore cacheable. Preferred over MakePlanner.
+	// Scheme is the resilience scheme under test. Required.
 	Scheme SchemeSpec
-	// MakePlanner builds a fresh planner per QP point (planners are
-	// stateful) — the escape hatch for custom planners with no
-	// SchemeSpec spelling. Such encodes cannot be fingerprinted and
-	// bypass the cache. Ignored when Scheme is set; one of the two is
-	// required. When Workers > 1 it is called concurrently, so it must
-	// not share mutable state between the planners it returns.
-	MakePlanner func() (codec.ModePlanner, error)
 	// Workers bounds the experiment fan-out across QP points: <= 0
 	// selects parallel.DefaultWorkers, 1 runs serially. The curve is
 	// identical for every value.
 	Workers int
-	// Cache, when non-nil, memoizes Scheme-described encodes by
-	// content fingerprint (MakePlanner points always re-encode).
+	// Cache, when non-nil, memoizes each QP point's encode by content
+	// fingerprint.
 	Cache *bitcache.Store
 }
 
-// RDCurve encodes the sequence at each QP (loss-free) and returns the
-// curve in QP order; the QP points are independent encodes and fan out
-// across cfg.Workers goroutines.
+// RDCurve encodes the sequence at each QP and returns the loss-free
+// curve in QP order. Each QP point is one encode and one loss-free
+// Simulate; the points fan out across cfg.Workers goroutines.
 func RDCurve(cfg RDConfig) ([]RDPoint, error) {
-	if cfg.Scheme.Kind == 0 && cfg.MakePlanner == nil {
-		return nil, fmt.Errorf("experiment: RDCurve needs MakePlanner")
+	if cfg.Scheme.Kind == 0 {
+		return nil, fmt.Errorf("experiment: RDCurve needs a Scheme")
 	}
 	if cfg.Regime == 0 {
 		cfg.Regime = synth.RegimeForeman
@@ -63,44 +54,26 @@ func RDCurve(cfg RDConfig) ([]RDPoint, error) {
 		cfg.QPs = []int{2, 4, 8, 12, 16, 24, 31}
 	}
 	src := synth.Shared(cfg.Regime)
-	plan := NewPlan(cfg.Workers, cfg.Cache)
-	for _, qp := range cfg.QPs {
-		var enc int
-		if cfg.Scheme.Kind != 0 {
-			enc = plan.Encode(EncodeSpec{
-				Regime: cfg.Regime, Frames: cfg.Frames,
-				QP: qp, SearchRange: cfg.SearchRange,
-				Scheme: cfg.Scheme,
-			})
-		} else {
-			planner, err := cfg.MakePlanner()
-			if err != nil {
-				return nil, err
-			}
-			enc = plan.EncodeScenario(Scenario{
-				Name:        fmt.Sprintf("rd/qp%d", qp),
-				Source:      src,
-				Frames:      cfg.Frames,
-				QP:          qp,
-				SearchRange: cfg.SearchRange,
-				Planner:     planner,
-			})
+	return parallel.Map(cfg.Workers, len(cfg.QPs), func(i int) (RDPoint, error) {
+		qp := cfg.QPs[i]
+		seq, err := Encode(cfg.Cache, EncodeSpec{
+			Regime: cfg.Regime, Frames: cfg.Frames,
+			QP: qp, SearchRange: cfg.SearchRange,
+			Scheme: cfg.Scheme,
+		})
+		if err != nil {
+			return RDPoint{}, err
 		}
-		plan.Simulate(enc, SimSpec{Name: fmt.Sprintf("rd/qp%d", qp)})
-	}
-	results, err := plan.Run()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]RDPoint, 0, len(results))
-	for i, res := range results {
-		out = append(out, RDPoint{
-			QP:     cfg.QPs[i],
+		res, err := Simulate(seq, src, SimSpec{Name: fmt.Sprintf("rd/qp%d", qp)})
+		if err != nil {
+			return RDPoint{}, err
+		}
+		return RDPoint{
+			QP:     qp,
 			KBytes: float64(res.TotalBytes) / 1024,
 			PSNR:   res.PSNR.Mean(),
-		})
-	}
-	return out, nil
+		}, nil
+	})
 }
 
 // BDRateGap is a coarse Bjøntegaard-style comparison: the mean

@@ -3,15 +3,13 @@ package experiment
 import (
 	"testing"
 
-	"pbpair/internal/codec"
 	"pbpair/internal/core"
-	"pbpair/internal/resilience"
 	"pbpair/internal/synth"
 )
 
 func TestRDCurveValidation(t *testing.T) {
 	if _, err := RDCurve(RDConfig{}); err == nil {
-		t.Fatal("missing MakePlanner accepted")
+		t.Fatal("missing Scheme accepted")
 	}
 }
 
@@ -21,7 +19,7 @@ func TestRDCurveMonotone(t *testing.T) {
 		Frames:      8,
 		SearchRange: 7,
 		QPs:         []int{2, 8, 20, 31},
-		MakePlanner: func() (codec.ModePlanner, error) { return resilience.NewNone(), nil },
+		Scheme:      SchemeNO(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -48,14 +46,12 @@ func TestResilienceCostsBits(t *testing.T) {
 		SearchRange: 7,
 		QPs:         []int{4, 8, 14, 22},
 	}
-	cfg.MakePlanner = func() (codec.ModePlanner, error) { return resilience.NewNone(), nil }
+	cfg.Scheme = SchemeNO()
 	noCurve, err := RDCurve(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.MakePlanner = func() (codec.ModePlanner, error) {
-		return core.New(core.Config{Rows: 9, Cols: 11, IntraTh: 0.9, PLR: 0.1})
-	}
+	cfg.Scheme = SchemePBPAIR(core.Config{Rows: 9, Cols: 11, IntraTh: 0.9, PLR: 0.1})
 	pbCurve, err := RDCurve(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -24,23 +24,19 @@ func TestSimulateRetentionOff(t *testing.T) {
 	}
 	src := synth.Shared(synth.RegimeForeman)
 
-	sim := func(keep bool) *Result {
+	sim := func(opts ...Option) *Result {
 		ch, err := network.NewUniformLoss(0.1, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Simulate(seq, src, SimSpec{
-			Name:       "retention",
-			Channel:    ch,
-			KeepFrames: keep,
-		})
+		res, err := Simulate(seq, src, SimSpec{Name: "retention", Channel: ch}, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	kept := sim(true)
-	plain := sim(false)
+	kept := sim(KeepFrames())
+	plain := sim()
 
 	if len(kept.DecodedFrames) != 6 {
 		t.Fatalf("retaining run kept %d frames, want 6", len(kept.DecodedFrames))
@@ -87,8 +83,7 @@ func TestSimulateDecoderWorkersBitExact(t *testing.T) {
 			Name:           "dec-workers",
 			Channel:        ch,
 			DecoderWorkers: workers,
-			KeepFrames:     true,
-		})
+		}, KeepFrames())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -176,9 +176,8 @@ type decOut struct {
 // SimBatch evaluates one encoded sequence against batch.Trials
 // independent loss realizations and returns the cross-trial metric
 // distributions. sim follows the Simulate contract except that the
-// channel must be described by batch (sim.Channel set is an error),
-// and FEC grouping and frame retention are not supported in batch
-// mode.
+// channel must be described by batch (sim.Channel set is an error)
+// and FEC grouping is not supported in batch mode.
 func SimBatch(seq *codec.EncodedSequence, src synth.Source, sim SimSpec, batch BatchSpec) (*MultiTrialResult, error) {
 	if seq == nil || len(seq.Frames) == 0 {
 		return nil, fmt.Errorf("experiment: simbatch %q: empty sequence", sim.Name)
@@ -197,9 +196,6 @@ func SimBatch(seq *codec.EncodedSequence, src synth.Source, sim SimSpec, batch B
 	}
 	if sim.FECGroup > 0 {
 		return nil, fmt.Errorf("experiment: simbatch %q: FEC grouping is not supported in batch mode", sim.Name)
-	}
-	if sim.KeepFrames {
-		return nil, fmt.Errorf("experiment: simbatch %q: KeepFrames is not supported in batch mode", sim.Name)
 	}
 
 	maskSrc, err := batch.maskSource()

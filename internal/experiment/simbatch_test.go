@@ -250,9 +250,6 @@ func TestSimBatchRejects(t *testing.T) {
 	if _, err := SimBatch(seq, src, SimSpec{FECGroup: 2}, ok); err == nil {
 		t.Error("FEC accepted in batch mode")
 	}
-	if _, err := SimBatch(seq, src, SimSpec{KeepFrames: true}, ok); err == nil {
-		t.Error("KeepFrames accepted in batch mode")
-	}
 	ch, _ := network.NewUniformLoss(0.1, 1)
 	if _, err := SimBatch(seq, src, SimSpec{Channel: ch}, ok); err == nil {
 		t.Error("sim.Channel accepted in batch mode")
