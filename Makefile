@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet test race bench bench-json docs-lint perfbench-check fuzz soak-smoke check
+.PHONY: all build fmt vet test race cross bench bench-json docs-lint perfbench-check fuzz soak-smoke check
 
 # Seconds each fuzz target runs under `make fuzz` (CI uses the same
 # smoke budget; raise it locally for a real fuzzing session).
@@ -31,6 +31,14 @@ test:
 race:
 	$(GO) test -race ./...
 
+# Cross-architecture gate: vet and build the whole module for arm64.
+# SAD16's row loop is assembly on amd64 only (internal/motion
+# sad_amd64.s); every other architecture must still compile the
+# portable SWAR kernel through sad_other.go, which an amd64-only build
+# never type-checks.
+cross:
+	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
+
 # Reduced-scale reproduction of every figure benchmark.
 bench:
 	$(GO) test -bench . -benchtime 1x
@@ -43,7 +51,9 @@ BENCHTIME ?= 0.5s
 # Regenerate the committed benchmark trajectories, parsed into JSON
 # by pbpair-benchjson so they can be diffed across revisions:
 #  - BENCH_kernels.json: the encode-phase fast/reference kernel pairs
-#    (SAD, half-pel, DCT, bitstream, VLC) plus the end-to-end encoder.
+#    (SAD, half-pel, DCT, bitstream, VLC) plus the end-to-end encoder,
+#    five samples each (-count 5; the JSON holds the median with its
+#    min/max), gated by -check-pairs on the medians.
 #  - BENCH_sim.json: the simulate-phase pairs (fused frame metrics,
 #    concealment boundary matching) plus the decoder, gated by
 #    -check-pairs — the build fails if any fast kernel measures
@@ -54,8 +64,9 @@ BENCHTIME ?= 0.5s
 #  - BENCH_mc.json: the bit-packed Monte-Carlo batch engine, gated on
 #    its documented floors — the dedup speedup over the scalar trial
 #    loop (>= 20x at 5% loss) and the figure-level bar (a 10k-trial
-#    Figure 5 point at most 2x the 5-seed Fig5Multi wall-clock,
-#    i.e. vs_5seed_x >= 0.5).
+#    Figure 5 point at most 2x the wall-clock of fig5MultiSeed, the
+#    test oracle that reruns the scalar Figure 5 once per seed, at 5
+#    seeds, i.e. vs_5seed_x >= 0.5).
 #  - BENCH_serve.json: the serving layer, gated on the 10k-session
 #    scale figure — aggregate frames/s over the full run (>= 10000,
 #    the sharded-datapath floor), genuinely batched receives (>= 5
@@ -66,9 +77,9 @@ BENCHTIME ?= 0.5s
 #    actually spread the fleet across the receive shards.
 bench-json:
 	$(GO) test -run xxx -bench 'BenchmarkSAD|BenchmarkCompensateHalf|BenchmarkForward|BenchmarkInverse|BenchmarkWriteBits|BenchmarkReadBits|BenchmarkWriteEvent|BenchmarkReadEvent|BenchmarkEncodeParallel' \
-		-benchmem -benchtime $(BENCHTIME) \
+		-benchmem -benchtime $(BENCHTIME) -count 5 \
 		./internal/motion/ ./internal/dct/ ./internal/bitstream/ ./internal/entropy/ . \
-		| $(GO) run ./cmd/pbpair-benchjson -out BENCH_kernels.json
+		| $(GO) run ./cmd/pbpair-benchjson -check-pairs -out BENCH_kernels.json
 	@echo wrote BENCH_kernels.json
 	$(GO) test -run xxx -bench 'BenchmarkFrameStats|BenchmarkBadPixels|BenchmarkBoundaryCost|BenchmarkConceal|BenchmarkDecodeFrame' \
 		-benchmem -benchtime $(BENCHTIME) \
@@ -139,4 +150,4 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzBitstreamEquiv -fuzztime $(FUZZTIME) ./internal/bitstream/
 	$(GO) test -run xxx -fuzz FuzzVLCDecodeEquiv -fuzztime $(FUZZTIME) ./internal/entropy/
 
-check: build fmt vet test race soak-smoke docs-lint perfbench-check
+check: build fmt vet test race cross soak-smoke docs-lint perfbench-check

@@ -12,9 +12,13 @@
 //
 // The emitted document records the environment (date, go version,
 // GOOS/GOARCH, the cpu line go test prints) and one entry per
-// benchmark line: name, iterations, ns/op, and — when -benchmem was
-// on — B/op and allocs/op. Lines that are not benchmark results are
-// ignored, so the raw `go test` output can be piped in unfiltered.
+// benchmark: name, iterations, ns/op, and — when -benchmem was on —
+// B/op and allocs/op. When a benchmark has several result lines in one
+// package (`go test -count N`), its entry holds the median of each
+// figure over those samples, the sample count and the per-unit min and
+// max; the -check-pairs, -require and -min gates judge the median.
+// Lines that are not benchmark results are ignored, so the raw
+// `go test` output can be piped in unfiltered.
 package main
 
 import (
@@ -23,16 +27,21 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
 )
 
-// Result is one parsed benchmark line. Custom metrics emitted with
+// Result is one benchmark: a parsed result line, or the median of
+// several (go test -count N). Custom metrics emitted with
 // b.ReportMetric (frames/s, p99_us, …) land in Extra keyed by their
-// unit string.
+// unit string. Samples, Min and Max are set only for a merged entry:
+// the number of result lines and, per unit ("ns/op" and every custom
+// unit), the smallest and largest sample.
 type Result struct {
 	Name     string             `json:"name"`
 	Iters    int64              `json:"iters"`
@@ -40,6 +49,9 @@ type Result struct {
 	BPerOp   int64              `json:"b_op,omitempty"`
 	AllocsOp int64              `json:"allocs_op,omitempty"`
 	Extra    map[string]float64 `json:"extra,omitempty"`
+	Samples  int                `json:"samples,omitempty"`
+	Min      map[string]float64 `json:"min,omitempty"`
+	Max      map[string]float64 `json:"max,omitempty"`
 }
 
 // Document is the emitted JSON root.
@@ -114,7 +126,9 @@ func run() error {
 }
 
 // Parse reads `go test -bench` output and collects every benchmark
-// result line plus the environment header lines (goos/goarch/cpu).
+// result plus the environment header lines (goos/goarch/cpu). Result
+// lines repeating a benchmark of the same package are merged into one
+// entry (see merge), kept at the position of the first.
 func Parse(in io.Reader) (*Document, error) {
 	doc := &Document{
 		Date:      time.Now().UTC().Format("2006-01-02T15:04:05Z"),
@@ -122,6 +136,12 @@ func Parse(in io.Reader) (*Document, error) {
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
 	}
+	type key struct{ pkg, name string }
+	var (
+		pkg    string
+		groups [][]Result
+		index  = make(map[key]int)
+	)
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	for sc.Scan() {
@@ -133,13 +153,79 @@ func Parse(in io.Reader) (*Document, error) {
 			doc.GOOS = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
 		case strings.HasPrefix(line, "goarch:"):
 			doc.GOARCH = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
+		case strings.HasPrefix(line, "pkg:"):
+			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 		case strings.HasPrefix(line, "Benchmark"):
 			if r, ok := parseLine(line); ok {
-				doc.Benchmarks = append(doc.Benchmarks, r)
+				k := key{pkg, r.Name}
+				i, seen := index[k]
+				if !seen {
+					i = len(groups)
+					index[k] = i
+					groups = append(groups, nil)
+				}
+				groups[i] = append(groups[i], r)
 			}
 		}
 	}
+	for _, g := range groups {
+		doc.Benchmarks = append(doc.Benchmarks, merge(g))
+	}
 	return doc, sc.Err()
+}
+
+// merge folds the result lines of one benchmark into one Result. A
+// single line is returned as is. For several, every figure is the
+// median over the lines that report it, and Samples, Min and Max
+// record the count and the per-unit extremes.
+func merge(rs []Result) Result {
+	if len(rs) == 1 {
+		return rs[0]
+	}
+	values := make(map[string][]float64)
+	var iters, bop, allocs []float64
+	for _, r := range rs {
+		iters = append(iters, float64(r.Iters))
+		bop = append(bop, float64(r.BPerOp))
+		allocs = append(allocs, float64(r.AllocsOp))
+		values["ns/op"] = append(values["ns/op"], r.NsPerOp)
+		for unit, v := range r.Extra {
+			values[unit] = append(values[unit], v)
+		}
+	}
+	out := Result{
+		Name:     rs[0].Name,
+		Iters:    int64(math.Round(median(iters))),
+		BPerOp:   int64(math.Round(median(bop))),
+		AllocsOp: int64(math.Round(median(allocs))),
+		Samples:  len(rs),
+		Min:      make(map[string]float64, len(values)),
+		Max:      make(map[string]float64, len(values)),
+	}
+	for unit, vs := range values {
+		m := median(vs)
+		if unit == "ns/op" {
+			out.NsPerOp = m
+		} else {
+			if out.Extra == nil {
+				out.Extra = make(map[string]float64)
+			}
+			out.Extra[unit] = m
+		}
+		out.Min[unit], out.Max[unit] = vs[0], vs[len(vs)-1] // median sorted vs
+	}
+	return out
+}
+
+// median sorts vs in place and returns its median (the mean of the
+// two middle values for an even count).
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
 // parseLine parses one result line of the form

@@ -142,3 +142,77 @@ func TestCheckMin(t *testing.T) {
 		}
 	}
 }
+
+// repeatedSample is `go test -count 3` output: every benchmark prints
+// one result line per run, interleaved with its siblings. The fast
+// kernel's worst sample is slower than the reference's best, but its
+// median is faster. BenchmarkFarm reports a custom metric on two of
+// its lines only (an even count), and BenchmarkShared also exists in
+// a second package, where it must stay a separate entry.
+const repeatedSample = `goos: linux
+goarch: amd64
+pkg: pbpair/internal/motion
+cpu: Intel(R) Xeon(R) CPU @ 2.10GHz
+BenchmarkSAD16-4        	 3000000	       40.0 ns/op	       0 B/op	       0 allocs/op
+BenchmarkSAD16Ref-4     	 1000000	       400.0 ns/op	       0 B/op	       0 allocs/op
+BenchmarkSAD16-4        	 3100000	       500.0 ns/op	       0 B/op	       0 allocs/op
+BenchmarkSAD16Ref-4     	 1100000	       300.0 ns/op	       0 B/op	       0 allocs/op
+BenchmarkSAD16-4        	 2900000	       42.0 ns/op	       0 B/op	       0 allocs/op
+BenchmarkSAD16Ref-4     	  900000	       350.0 ns/op	       0 B/op	       0 allocs/op
+BenchmarkFarm-4	     300	   3000000 ns/op	      2000 frames/s
+BenchmarkFarm-4	     310	   3100000 ns/op	      3000 frames/s
+BenchmarkFarm-4	     290	   2900000 ns/op
+BenchmarkShared-4	     100	   10.0 ns/op
+pkg: pbpair/internal/dct
+BenchmarkShared-4	     100	   20.0 ns/op
+`
+
+func TestParseRepeatedSamples(t *testing.T) {
+	doc, err := Parse(strings.NewReader(repeatedSample))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, b := range doc.Benchmarks {
+		names = append(names, b.Name)
+	}
+	if got := strings.Join(names, ","); got != "BenchmarkSAD16,BenchmarkSAD16Ref,BenchmarkFarm,BenchmarkShared,BenchmarkShared" {
+		t.Fatalf("entries = %s, want one per benchmark and package in first-seen order", got)
+	}
+	sad := doc.Benchmarks[0]
+	if sad.Samples != 3 || sad.NsPerOp != 42 || sad.Iters != 3000000 {
+		t.Fatalf("BenchmarkSAD16 = %+v, want 3 samples, median 42 ns/op, median 3000000 iters", sad)
+	}
+	if sad.Min["ns/op"] != 40 || sad.Max["ns/op"] != 500 {
+		t.Fatalf("BenchmarkSAD16 spread = %v / %v, want 40 / 500", sad.Min, sad.Max)
+	}
+	if ref := doc.Benchmarks[1]; ref.NsPerOp != 350 {
+		t.Fatalf("BenchmarkSAD16Ref median = %v, want 350", ref.NsPerOp)
+	}
+	farm := doc.Benchmarks[2]
+	if farm.Samples != 3 || farm.NsPerOp != 3000000 || farm.Extra["frames/s"] != 2500 {
+		t.Fatalf("BenchmarkFarm = %+v, want median ns/op 3000000 and frames/s 2500 over the two lines that report it", farm)
+	}
+	if farm.Min["frames/s"] != 2000 || farm.Max["frames/s"] != 3000 {
+		t.Fatalf("BenchmarkFarm frames/s spread = %v / %v", farm.Min, farm.Max)
+	}
+	if a, b := doc.Benchmarks[3], doc.Benchmarks[4]; a.NsPerOp != 10 || b.NsPerOp != 20 || a.Samples != 0 || b.Samples != 0 {
+		t.Fatalf("same name in two packages merged: %+v / %+v", a, b)
+	}
+
+	// The gates judge the median: SAD16's 500 ns/op outlier does not
+	// fail -check-pairs, and -min sees frames/s = 2500.
+	if err := CheckPairs(doc); err != nil {
+		t.Fatalf("CheckPairs on medians: %v", err)
+	}
+	if err := CheckMin(doc, []string{"BenchmarkFarm:frames/s=2500"}); err != nil {
+		t.Fatalf("CheckMin on the median: %v", err)
+	}
+	if err := CheckMin(doc, []string{"BenchmarkFarm:frames/s=2600"}); err == nil {
+		t.Fatal("CheckMin passed on the best sample instead of the median")
+	}
+	doc.Benchmarks[0].NsPerOp = 351 // a median above the reference's
+	if err := CheckPairs(doc); err == nil {
+		t.Fatal("CheckPairs passed with the fast median above the reference median")
+	}
+}

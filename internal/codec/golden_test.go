@@ -2,10 +2,15 @@ package codec_test
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"math"
 	"testing"
 
 	"pbpair/internal/codec"
+	"pbpair/internal/core"
+	"pbpair/internal/energy"
+	"pbpair/internal/motion"
 	"pbpair/internal/resilience"
 	"pbpair/internal/synth"
 	"pbpair/internal/video"
@@ -57,6 +62,91 @@ func TestGoldenPipelineKernels(t *testing.T) {
 	}
 	if got := hex.EncodeToString(hRec.Sum(nil)); got != wantRec {
 		t.Errorf("pipeline reconstruction digest changed:\n got %s\nwant %s", got, wantRec)
+	}
+}
+
+// TestGoldenPipelinePBPAIR pins the probability-penalised motion
+// search end to end. TestGoldenPipelineKernels runs a planner without
+// a penalty, so this is the digest that covers PBPAIR's MEPenalty
+// path: a live planner (α > 0, λ = 1) drives a full search at range 15
+// (every vector within the penalty table's ±15) and range 20 (vectors
+// beyond it take the direct relatedMin path). Besides the bitstream
+// and the reconstruction, the digest covers the ME work tally
+// (energy.Counters.SADCalls and SADPixelOps, frame by frame) and the
+// planner's σ matrix after every frame, so a faster kernel or penalty
+// that changed the counted work or a single σ would fail here too.
+// The digests were recorded before the PSADBW kernel and the penalty
+// table were introduced.
+func TestGoldenPipelinePBPAIR(t *testing.T) {
+	cases := []struct {
+		name             string
+		searchRange      int
+		halfPel          bool
+		wantBits, wantRe string
+	}{
+		{"range15", 15, false,
+			"ba636df2f378d4be0c6a2c1eabf69b5b4b80e0f19e955d3f3b7487e52556ae46",
+			"0cda532a675b2f18ba0e1c0eef194925fffd0dd0c939b866027a812dcb242187"},
+		{"range20_halfpel", 20, true,
+			"1d6bfd65373f7e70a39eeb7c13dacbd43ad8d6444e98cb0f2cd0b37798d54d6c",
+			"c0a067be41a1eb7df1d7570420c28002f2ce3e5b5d9e2ea33bb5b0f53f602fd9"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			planner, err := core.New(core.Config{
+				Rows: video.QCIFHeight / video.MBSize, Cols: video.QCIFWidth / video.MBSize,
+				IntraTh: 0.4, PLR: 0.1, Lambda: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var counters energy.Counters
+			cfg := codec.Config{
+				Width: video.QCIFWidth, Height: video.QCIFHeight,
+				QP: 8, SearchRange: tc.searchRange, Search: motion.FullSearch,
+				HalfPel: tc.halfPel, Planner: planner, Counters: &counters,
+			}
+			enc, err := codec.NewEncoder(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec, err := codec.NewDecoder(cfg.Width, cfg.Height)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hBits := sha256.New()
+			hRec := sha256.New()
+			src := synth.New(synth.RegimeForeman)
+			var word [8]byte
+			for k := 0; k < 8; k++ {
+				ef, err := enc.EncodeFrame(src.Frame(k))
+				if err != nil {
+					t.Fatal(err)
+				}
+				hBits.Write(ef.Data)
+				for _, v := range []int64{counters.SADCalls, counters.SADPixelOps} {
+					binary.LittleEndian.PutUint64(word[:], uint64(v))
+					hBits.Write(word[:])
+				}
+				for _, s := range planner.Sigma() {
+					binary.LittleEndian.PutUint64(word[:], math.Float64bits(s))
+					hBits.Write(word[:])
+				}
+				res, err := dec.DecodeFrame(ef.Data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hRec.Write(res.Frame.Y)
+				hRec.Write(res.Frame.Cb)
+				hRec.Write(res.Frame.Cr)
+			}
+			if got := hex.EncodeToString(hBits.Sum(nil)); got != tc.wantBits {
+				t.Errorf("bitstream/work/σ digest changed:\n got %s\nwant %s", got, tc.wantBits)
+			}
+			if got := hex.EncodeToString(hRec.Sum(nil)); got != tc.wantRe {
+				t.Errorf("reconstruction digest changed:\n got %s\nwant %s", got, tc.wantRe)
+			}
+		})
 	}
 }
 

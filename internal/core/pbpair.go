@@ -257,20 +257,60 @@ func (p *PBPAIR) PreME(ctx *codec.MBContext) bool {
 // macroblocks the candidate block overlaps. The penalty depends only
 // on the vector, so the search's early-termination pruning stays
 // exact.
+//
+// The penalty depends on a vector only through the rectangle of
+// macroblocks its reference block overlaps. For |dx|, |dy| < MBSize
+// that rectangle is the co-located macroblock widened, per axis, by
+// the neighbour on the side of the component's sign — one of nine
+// (sign dx, sign dy) classes. Those nine penalties are computed here,
+// once per macroblock, and the returned PenaltyFunc looks them up;
+// longer vectors (a search range of MBSize or more) evaluate
+// relatedMin directly. The PenaltyFunc only reads planner state, as
+// the sharded search requires.
 func (p *PBPAIR) MEPenalty(ctx *codec.MBContext) motion.PenaltyFunc {
 	if p.cfg.Lambda < 0 || p.plr == 0 {
 		return nil
 	}
 	row, col := ctx.Row, ctx.Col
 	weight := p.cfg.Lambda * p.plr * p.cfg.PenaltyScale
-	return func(mv motion.Vector) int32 {
-		deficit := 1 - p.relatedMin(row, col, mv)
-		penalty := int32(weight * deficit)
-		if penalty < 0 {
-			penalty = 0
+	var table [9]int32
+	for sy := -1; sy <= 1; sy++ {
+		for sx := -1; sx <= 1; sx++ {
+			table[signClass(sx, sy)] = p.penalty(row, col, weight, motion.Vector{X: sx, Y: sy})
 		}
-		return penalty
 	}
+	return func(mv motion.Vector) int32 {
+		if mv.X <= -video.MBSize || mv.X >= video.MBSize || mv.Y <= -video.MBSize || mv.Y >= video.MBSize {
+			return p.penalty(row, col, weight, mv)
+		}
+		return table[signClass(mv.X, mv.Y)]
+	}
+}
+
+// penalty is the §3.1.2 penalty weight·(1 − σ_ref(mv)) of vector mv
+// for macroblock (row, col), truncated to int32 and clamped at 0.
+func (p *PBPAIR) penalty(row, col int, weight float64, mv motion.Vector) int32 {
+	pen := int32(weight * (1 - p.relatedMin(row, col, mv)))
+	if pen < 0 {
+		pen = 0
+	}
+	return pen
+}
+
+// signClass indexes the nine (sign x, sign y) classes of a vector:
+// 3·(sign y + 1) + (sign x + 1).
+func signClass(x, y int) int {
+	return 3*(sign(y)+1) + sign(x) + 1
+}
+
+func sign(v int) int {
+	switch {
+	case v < 0:
+		return -1
+	case v > 0:
+		return 1
+	}
+	return 0
 }
 
 // relatedMin returns min σ over the previous-frame macroblocks

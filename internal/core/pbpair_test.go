@@ -210,6 +210,46 @@ func TestMEPenaltyPenalisesDamagedReference(t *testing.T) {
 	}
 }
 
+// TestMEPenaltyTableMatchesFormula pins MEPenalty's nine-class table
+// against the formula it replaces: for every macroblock of a QCIF grid
+// (corners, edges, interior) under random σ matrices, and every vector
+// within ±R for R across the table's edge (15 → 16) and the codec's
+// maximum range, the returned PenaltyFunc must equal
+// int32(weight·(1 − relatedMin)) clamped at 0.
+func TestMEPenaltyTableMatchesFormula(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for trial := 0; trial < 3; trial++ {
+		p := mustNew(t, Config{IntraTh: 0, PLR: 0.02 + 0.3*rng.Float64(), Lambda: 0.5 + rng.Float64()})
+		for i := range p.sigma {
+			p.sigma[i] = rng.Float64()
+			if rng.Intn(8) == 0 {
+				p.sigma[i] = 1
+			}
+		}
+		weight := p.cfg.Lambda * p.plr * p.cfg.PenaltyScale
+		for row := 0; row < p.cfg.Rows; row++ {
+			for col := 0; col < p.cfg.Cols; col++ {
+				pen := p.MEPenalty(&codec.MBContext{Row: row, Col: col, Index: row*p.cfg.Cols + col})
+				for _, r := range []int{0, 1, 7, 15, 16, 31} {
+					for dy := -r; dy <= r; dy++ {
+						for dx := -r; dx <= r; dx++ {
+							mv := motion.Vector{X: dx, Y: dy}
+							want := int32(weight * (1 - p.relatedMin(row, col, mv)))
+							if want < 0 {
+								want = 0
+							}
+							if got := pen(mv); got != want {
+								t.Fatalf("trial %d mb (%d,%d) R=%d mv %+v: penalty %d, formula %d",
+									trial, row, col, r, mv, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestMEPenaltyDisabled(t *testing.T) {
 	zeroPLR := mustNew(t, Config{IntraTh: 0, PLR: 0})
 	if zeroPLR.MEPenalty(&codec.MBContext{}) != nil {

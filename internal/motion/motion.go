@@ -15,6 +15,13 @@
 // encoder's macroblock-row sharding (codec.Config.Workers). Stats is an
 // additive tally; per-shard copies merged with Add in shard order equal
 // a serial run's tally exactly.
+//
+// The integer-pel SAD row loop is SSE2 assembly on amd64 (PSADBW, in
+// sad_amd64.s, the repository's only assembly) and the SWAR kernel
+// sad16RowsSWAR on every other architecture; the other kernels are
+// SWAR (internal/swar). Every fast kernel is bit-exact with its scalar
+// *Ref twin (sad_ref.go, halfpel_ref.go), Stats deltas included, which
+// the differential harness in equiv_test.go enforces.
 package motion
 
 import (
@@ -46,8 +53,9 @@ func (v Vector) IsZero() bool { return v.X == 0 && v.Y == 0 }
 // the whole block and counts MBSize². SAD16Half counts
 // 3 × video.MBSize per row scanned (each interpolated pixel costs the
 // bilinear blend plus the difference — see halfPelOpsPerPixel). The
-// SWAR kernels load 8 pixels per machine word but preserve exactly
-// this per-row accounting, so energy-model outputs are unchanged.
+// fast kernels load 8 (SWAR) or 16 (PSADBW) pixels per instruction but
+// preserve exactly this per-row accounting, so energy-model outputs
+// are unchanged.
 type Stats struct {
 	SADCalls int64 // 16x16 SAD evaluations started
 	PixelOps int64 // per-pixel |a-b| operations actually executed
@@ -63,40 +71,57 @@ func (s *Stats) Add(other Stats) {
 // luma block at (cx, cy) in cur and the one at (rx, ry) in ref. The
 // scan aborts once the partial sum exceeds limit (use math.MaxInt32 to
 // disable), returning a value > limit. Callers guarantee both blocks
-// lie inside their frames.
+// lie inside their frames; a block that runs past the end of its plane
+// panics before any pixel is read.
 //
-// The implementation is SWAR (see internal/swar): each row is two uint64
-// loads and branch-free 8-lane arithmetic. It is bit-exact with
+// The row loop is SSE2 assembly on amd64 (PSADBW, sad_amd64.s) and the
+// SWAR kernel sad16RowsSWAR elsewhere. Both are bit-exact with
 // SAD16Ref — identical return values (including early-exit partial
 // sums, which are checked at the same row boundaries) and identical
-// Stats deltas.
+// Stats deltas: one SADCalls, and video.MBSize PixelOps per row
+// scanned.
 func SAD16(cur, ref *video.Frame, cx, cy, rx, ry int, limit int32, stats *Stats) int32 {
-	if stats != nil {
-		stats.SADCalls++
-	}
-	var sum int32
 	cw, rw := cur.Width, ref.Width
 	co := cy*cw + cx
 	po := ry*rw + rx
-	for r := 0; r < video.MBSize; r++ {
-		sum += swar.SADRow16(cur.Y[co:co+video.MBSize], ref.Y[po:po+video.MBSize])
-		co += cw
-		po += rw
-		if stats != nil {
-			stats.PixelOps += video.MBSize
-		}
-		if sum > limit {
-			return sum
-		}
+	sum, rows := sad16Rows(cur.Y[co:co+blockSpan(cw)], cw, ref.Y[po:po+blockSpan(rw)], rw, limit)
+	if stats != nil {
+		stats.SADCalls++
+		stats.PixelOps += int64(rows) * video.MBSize
 	}
 	return sum
+}
+
+// blockSpan is the number of plane bytes from the first to the last
+// pixel of a 16x16 block in a plane of the given stride. Slicing a
+// block's span before calling sad16Rows is the bounds proof the
+// assembly kernel relies on.
+func blockSpan(stride int) int { return (video.MBSize-1)*stride + video.MBSize }
+
+// sad16RowsSWAR is the portable SAD16 row loop: each row is two uint64
+// loads and branch-free 8-lane arithmetic (see internal/swar). It
+// returns the sum and the number of rows scanned, stopping after the
+// first row whose running sum exceeds limit. Row r of the blocks
+// starts at c[r*cw] and p[r*rw].
+func sad16RowsSWAR(c []byte, cw int, p []byte, rw int, limit int32) (sum int32, rows int) {
+	co, po := 0, 0
+	for rows < video.MBSize {
+		sum += swar.SADRow16(c[co:co+video.MBSize], p[po:po+video.MBSize])
+		co += cw
+		po += rw
+		rows++
+		if sum > limit {
+			break
+		}
+	}
+	return sum, rows
 }
 
 // SADSelf returns the deviation of the 16x16 block at (cx, cy) from its
 // own mean: Σ|p − mean|. This is the H.263 test-model "intra SAD" used
 // by the inter/intra fallback decision (SADself in the paper's Figure
 // 4 pseudo-code).
-// SADSelf is SWAR like SAD16: the mean pass sums rows 16 bytes at a
+// SADSelf is SWAR (internal/swar): the mean pass sums rows 16 bytes at a
 // time, and the deviation pass reuses the |a−b| lanes against the mean
 // replicated into every lane (the rounded mean of bytes always fits in
 // a byte). Bit-exact with SADSelfRef.
@@ -205,12 +230,14 @@ func Search(cur, ref *video.Frame, mbRow, mbCol int, cfg Config, stats *Stats) R
 		maxY = cfg.Range
 	}
 
+	cw, rw := cur.Width, ref.Width
+	co := cy*cw + cx
 	s := searcher{
-		cur: cur, ref: ref,
-		cx: cx, cy: cy,
-		minX: minX, maxX: maxX, minY: minY, maxY: maxY,
+		cur: cur.Y[co : co+blockSpan(cw)], ref: ref.Y,
+		cw: cw, rw: rw,
+		refBase: cy*rw + cx,
+		minX:    minX, maxX: maxX, minY: minY, maxY: maxY,
 		penalty: cfg.Penalty,
-		stats:   stats,
 		best:    Result{MV: Vector{}, SAD: math.MaxInt32, Cost: math.MaxInt32},
 	}
 	s.try(Vector{0, 0})
@@ -221,15 +248,25 @@ func Search(cur, ref *video.Frame, mbRow, mbCol int, cfg Config, stats *Stats) R
 	default:
 		s.full()
 	}
+	if stats != nil {
+		stats.Add(s.stats)
+	}
 	return s.best
 }
 
+// searcher holds one Search's state. The block geometry is resolved
+// once: cur is the current block's span, refBase the offset of the
+// co-located reference block, so a candidate costs one slice
+// expression and one sad16Rows call. Work counts accumulate in a
+// local Stats with the same per-call and per-row contract as SAD16,
+// and reach the caller's Stats once, at the end of Search.
 type searcher struct {
-	cur, ref               *video.Frame
-	cx, cy                 int
+	cur, ref               []byte
+	cw, rw                 int
+	refBase                int
 	minX, maxX, minY, maxY int
 	penalty                PenaltyFunc
-	stats                  *Stats
+	stats                  Stats
 	best                   Result
 }
 
@@ -253,7 +290,10 @@ func (s *searcher) try(mv Vector) {
 		}
 	}
 	limit := s.best.Cost - pen
-	sad := SAD16(s.cur, s.ref, s.cx, s.cy, s.cx+mv.X, s.cy+mv.Y, limit, s.stats)
+	po := s.refBase + mv.Y*s.rw + mv.X
+	sad, rows := sad16Rows(s.cur, s.cw, s.ref[po:po+blockSpan(s.rw)], s.rw, limit)
+	s.stats.SADCalls++
+	s.stats.PixelOps += int64(rows) * video.MBSize
 	if sad >= limit {
 		return
 	}

@@ -2,18 +2,19 @@ package motion
 
 import "pbpair/internal/video"
 
-// Reference (scalar) SAD kernels. These are the original byte-at-a-time
-// implementations the SWAR kernels in swar.go replaced; they are kept
-// exported as the ground truth for the differential equivalence
-// harness (TestSADEquiv / FuzzSADEquiv) and must never be edited for
-// speed. The contract is exact equivalence: for any legal input,
+// Reference (scalar) SAD kernels. These are the original
+// byte-at-a-time implementations the fast kernels replaced (SAD16's
+// PSADBW assembly on amd64 and its SWAR row loop elsewhere, SADSelf's
+// SWAR passes); they are kept exported as the ground truth for the
+// differential equivalence harness (TestSADEquiv / FuzzSADEquiv) and
+// must never be edited for speed. The contract is exact equivalence: for any legal input,
 // SAD16(x) == SAD16Ref(x) — including the returned partial sum on
 // early termination and the Stats deltas.
 
 // SAD16Ref is the scalar reference implementation of SAD16. It scans
 // row by row, accumulating |a−b| per pixel, counting a full row into
 // stats.PixelOps before the early-exit check — the same per-row
-// granularity the SWAR kernel preserves.
+// granularity the fast kernels preserve.
 func SAD16Ref(cur, ref *video.Frame, cx, cy, rx, ry int, limit int32, stats *Stats) int32 {
 	if stats != nil {
 		stats.SADCalls++

@@ -1,8 +1,11 @@
 // Package swar holds the SIMD-within-a-register pixel primitives
-// shared by the repository's hot kernels: the encoder's SAD search and
-// half-pel interpolation (internal/motion), the decoder-side
+// shared by the repository's hot kernels: the encoder's SAD kernels
+// and half-pel interpolation (internal/motion), the decoder-side
 // concealment costs (internal/conceal) and the quality metrics
-// (internal/metrics). A 16-pixel macroblock row is two uint64 loads;
+// (internal/metrics). On amd64 the integer-pel SAD16 row loop runs
+// PSADBW assembly instead (internal/motion/sad_amd64.s); SADRow16 is
+// its portable kernel on every other architecture, and still serves
+// SADSelf, SAD16Half and concealment everywhere. A 16-pixel macroblock row is two uint64 loads;
 // per-byte arithmetic then runs 8 lanes at a time in ordinary integer
 // registers — branch-free, no per-pixel loop.
 //
